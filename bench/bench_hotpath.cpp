@@ -3,10 +3,8 @@
 // Three measurements, one machine-readable JSON artifact:
 //
 //   1. codec: encode_msg_set-shaped frames through the allocation-lean
-//      Encoder vs a replica of the pre-batching per-byte encoder
-//      (push_back per byte, no reserve) — reports encoded MB/s;
-//   2. event-queue: schedule/run churn through the pooled event store vs a
-//      replica of the former std::function + std::priority_queue scheduler —
+//      Encoder — reports encoded MB/s;
+//   2. event-queue: schedule/run churn through the pooled event store —
 //      reports events/s;
 //   3. end-to-end: a small latency-vs-throughput sweep of the batched
 //      C-Abcast and Paxos-Abcast stacks — reports mean/p95 latency and
@@ -16,9 +14,8 @@
 //   bench_hotpath [--quick] [--out FILE] [--seed N]   # run + emit JSON
 //   bench_hotpath --validate FILE                     # schema-check a JSON
 //
-// The legacy replicas live in this binary on purpose: the ">= 2x on at least
-// one hot-path metric" acceptance stays mechanically checkable against the
-// pre-PR code forever, not just against a one-off measurement.
+// The perf trajectory lives in the committed BENCH_hotpath.json history;
+// compare rows from runs on the same machine.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -26,7 +23,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -45,69 +41,6 @@ double now_s() {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy replicas (the pre-PR hot paths, kept verbatim for comparison).
-
-/// The former Encoder: byte-by-byte push_back, no reserve, no reuse.
-class LegacyEncoder {
- public:
-  void put_u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void put_u32(std::uint32_t v) { put_fixed(v); }
-  void put_u64(std::uint64_t v) { put_fixed(v); }
-  void put_string(std::string_view s) {
-    put_u32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
-  }
-  [[nodiscard]] std::string take() { return std::move(buf_); }
-
- private:
-  template <typename T>
-  void put_fixed(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  std::string buf_;
-};
-
-/// The former EventQueue: one std::function per event inside a
-/// std::priority_queue (heap churn moves the fat elements around).
-class LegacyEventQueue {
- public:
-  using Action = std::function<void()>;
-
-  void at(TimePoint t, Action fn) {
-    if (t < now_) t = now_;
-    queue_.push(Event{t, next_seq_++, std::move(fn)});
-  }
-  bool run_next() {
-    if (queue_.empty()) return false;
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    now_ = ev.time;
-    ev.fn();
-    return true;
-  }
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
-  [[nodiscard]] TimePoint now() const { return now_; }
-
- private:
-  struct Event {
-    TimePoint time;
-    std::uint64_t seq;
-    Action fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  TimePoint now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Micro 1: codec throughput on consensus-batch-shaped frames.
 
 struct BatchFixture {
@@ -124,9 +57,17 @@ BatchFixture make_batch(std::size_t batch_size, std::size_t payload_bytes) {
   return fx;
 }
 
-template <typename EncodeFrame>
-double measure_encode_mb_per_s(const BatchFixture& fx, std::uint64_t iters,
-                               EncodeFrame encode) {
+double bench_codec(const BatchFixture& fx, std::uint64_t iters) {
+  const auto encode = [&fx] {
+    common::Encoder enc(fx.frame_bytes);
+    enc.put_u32(static_cast<std::uint32_t>(fx.msgs.size()));
+    for (const auto& [seq, payload] : fx.msgs) {
+      enc.put_u32(1);
+      enc.put_u64(seq);
+      enc.put_string(payload);
+    }
+    return enc.take();
+  };
   // Untimed warmup iteration (first-touch allocations).
   volatile std::size_t sink = encode().size();
   const double t0 = now_s();
@@ -138,32 +79,6 @@ double measure_encode_mb_per_s(const BatchFixture& fx, std::uint64_t iters,
   return bytes / dt / 1e6;
 }
 
-double bench_codec_new(const BatchFixture& fx, std::uint64_t iters) {
-  return measure_encode_mb_per_s(fx, iters, [&fx] {
-    common::Encoder enc(fx.frame_bytes);
-    enc.put_u32(static_cast<std::uint32_t>(fx.msgs.size()));
-    for (const auto& [seq, payload] : fx.msgs) {
-      enc.put_u32(1);
-      enc.put_u64(seq);
-      enc.put_string(payload);
-    }
-    return enc.take();
-  });
-}
-
-double bench_codec_legacy(const BatchFixture& fx, std::uint64_t iters) {
-  return measure_encode_mb_per_s(fx, iters, [&fx] {
-    LegacyEncoder enc;
-    enc.put_u32(static_cast<std::uint32_t>(fx.msgs.size()));
-    for (const auto& [seq, payload] : fx.msgs) {
-      enc.put_u32(1);
-      enc.put_u64(seq);
-      enc.put_string(payload);
-    }
-    return enc.take();
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Micro 2: event-queue schedule/run churn with simulator-shaped handlers.
 //
@@ -172,13 +87,12 @@ double bench_codec_legacy(const BatchFixture& fx, std::uint64_t iters) {
 // inline buffer, under InlineAction's. Handlers reschedule themselves so the
 // queue stays at a realistic depth, like a sim run in steady state.
 
-template <typename Queue>
 double measure_events_per_s(std::uint64_t total_events, std::size_t width) {
-  Queue q;
+  sim::EventQueue q;
   auto payload = std::make_shared<const std::string>(64, 'x');
   std::uint64_t executed = 0;
   struct Ctx {
-    Queue* q;
+    sim::EventQueue* q;
     std::uint64_t* executed;
     std::uint64_t total;
     std::shared_ptr<const std::string> payload;
@@ -478,25 +392,18 @@ int run(int argc, char** argv) {
   {
     const BatchFixture fx = make_batch(16, 64);
     const std::uint64_t iters = quick ? 20'000 : 400'000;
-    const double legacy = bench_codec_legacy(fx, iters);
-    const double lean = bench_codec_new(fx, iters);
-    std::printf("codec          legacy %8.1f MB/s   lean %8.1f MB/s   %.2fx\n",
-                legacy, lean, lean / legacy);
-    rows.push_back(Row{"codec-legacy", 0, 0, 0, 0, legacy, seed_base});
-    rows.push_back(Row{"codec", 0, 0, 0, 0, lean, seed_base});
+    const double mb_per_s = bench_codec(fx, iters);
+    std::printf("codec          %8.1f MB/s\n", mb_per_s);
+    rows.push_back(Row{"codec", 0, 0, 0, 0, mb_per_s, seed_base});
   }
 
   // Micro 2: event queue.
   {
     const std::uint64_t events = quick ? 200'000 : 4'000'000;
     const std::size_t width = 1000;  // steady-state queue depth
-    const double legacy = measure_events_per_s<LegacyEventQueue>(events, width);
-    const double pooled = measure_events_per_s<sim::EventQueue>(events, width);
-    std::printf(
-        "event-queue    legacy %8.0f ev/s   pooled %8.0f ev/s   %.2fx\n",
-        legacy, pooled, pooled / legacy);
-    rows.push_back(Row{"event-queue-legacy", 0, 0, 0, legacy, 0, seed_base});
-    rows.push_back(Row{"event-queue", 0, 0, 0, pooled, 0, seed_base});
+    const double events_per_s = measure_events_per_s(events, width);
+    std::printf("event-queue    %8.0f ev/s\n", events_per_s);
+    rows.push_back(Row{"event-queue", 0, 0, 0, events_per_s, 0, seed_base});
   }
 
   // End-to-end sweep: batched stacks under load.

@@ -44,20 +44,32 @@ run_static() {
 }
 
 # Metrics stage: the exporter determinism contract, end to end. Two
-# fixed-seed sim runs must emit byte-identical metrics JSON, and both the
-# sim and runtime documents must pass the zdc-metrics-v1 schema validator.
+# fixed-seed runs of each sim mode (abcast, consensus under a crash-tracking
+# FD with a crash, sequence) must emit byte-identical metrics JSON, and
+# every sim and runtime document must pass the zdc-metrics-v1 schema
+# validator.
 run_metrics() {
   echo "=== metrics: build zdc_explore"
   cmake -B build -S . > /dev/null
   cmake --build build -j "$JOBS" --target zdc_explore
   local explore=./build/tools/zdc_explore out=build/metrics-check
   mkdir -p "$out"
-  echo "=== metrics: fixed-seed byte-identity"
-  "$explore" abcast --seed 42 --messages 60 --metrics-out "$out/a.json" > /dev/null
-  "$explore" abcast --seed 42 --messages 60 --metrics-out "$out/b.json" > /dev/null
-  cmp "$out/a.json" "$out/b.json"
-  echo "=== metrics: schema validation (sim + runtime)"
-  "$explore" validate-metrics "$out/a.json"
+  local mode args
+  for mode in abcast consensus sequence; do
+    case $mode in
+      abcast) args="--seed 42 --messages 60" ;;
+      consensus) args="--seed 42 --fd track --crash 0@0.5" ;;
+      sequence) args="--seed 42 --instances 6 --crash-before 3" ;;
+    esac
+    echo "=== metrics: $mode fixed-seed byte-identity + schema"
+    # shellcheck disable=SC2086  # args is a deliberately split flag list
+    "$explore" $mode $args --metrics-out "$out/$mode-a.json" > /dev/null
+    # shellcheck disable=SC2086
+    "$explore" $mode $args --metrics-out "$out/$mode-b.json" > /dev/null
+    cmp "$out/$mode-a.json" "$out/$mode-b.json"
+    "$explore" validate-metrics "$out/$mode-a.json"
+  done
+  echo "=== metrics: schema validation (runtime)"
   "$explore" runtime c-l --messages 30 --throughput 2000 \
     --metrics-out "$out/runtime.json" > /dev/null
   "$explore" validate-metrics "$out/runtime.json"

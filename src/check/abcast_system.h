@@ -1,4 +1,4 @@
-// System-under-check adapter wrapping DirectAbcastNet: atomic broadcast
+// System-under-check adapter wrapping AbcastNet: atomic broadcast
 // across n processes, with submissions, deliveries, crashes and FD flips as
 // explicit Choices and the Uniform Total Order / Integrity / No-creation
 // invariants checked after every transition.
@@ -7,7 +7,8 @@
 #include <optional>
 #include <vector>
 
-#include "check/direct_abcast_net.h"
+#include "check/direct_net.h"
+#include "check/net_choices.h"
 #include "check/system.h"
 
 namespace zdc::check {
@@ -34,17 +35,14 @@ class AbcastSystem final : public System {
 
   const ScenarioSpec spec_;
   const AdversaryBudgets budgets_;
-  DirectAbcastNet net_;
-  std::vector<bool> performed_;      ///< per scripted submission
-  std::vector<abcast::MsgId> submitted_;
-  std::uint32_t crashes_used_ = 0;
-  std::uint32_t leader_flips_used_ = 0;
-  std::uint32_t suspect_flips_used_ = 0;
+  AbcastNet net_;
+  NetChoices shared_;
+  std::vector<bool> performed_;  ///< per scripted submission
 };
 
 /// The abcast factory for a scenario, via sim::abcast_factory_by_name
 /// ("c-l", "c-p", "wabcast", "paxos"). Mutants are not plumbed through the
 /// abcast layer (the seeded mutants live in the consensus protocols).
-DirectAbcastNet::Factory abcast_net_factory(const ScenarioSpec& spec);
+sim::SimAbcastFactory abcast_net_factory(const ScenarioSpec& spec);
 
 }  // namespace zdc::check

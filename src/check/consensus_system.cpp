@@ -49,7 +49,7 @@ namespace {
 /// outlives kCrashDeliver reboots. Fills `storages` (one per process) and
 /// returns a factory whose closure co-owns them, so replace_protocol()
 /// rebuilds an incarnation over the state its predecessor persisted.
-DirectNet::Factory storage_backed_factory(
+sim::SimConsensusFactory storage_backed_factory(
     GroupParams group, std::vector<std::shared_ptr<CheckStorage>>& storages) {
   storages.clear();
   storages.reserve(group.n);
@@ -67,7 +67,7 @@ DirectNet::Factory storage_backed_factory(
 
 }  // namespace
 
-DirectNet::Factory consensus_net_factory(const ScenarioSpec& spec) {
+sim::SimConsensusFactory consensus_net_factory(const ScenarioSpec& spec) {
   if (spec.mutant.empty()) {
     return sim::consensus_factory_by_name(spec.protocol);
   }
@@ -114,7 +114,7 @@ ConsensusSystem::ConsensusSystem(const ScenarioSpec& spec,
   for (ProcessId p = 0; p < spec_.group.n; ++p) {
     net_.fd(p).omega.value = spec_.initial_leader_of(p);
     if (spec_.initial_leader_of(p) != spec_.initial_leader_of(0)) {
-      stable_ = false;  // split Ω outputs: not a stable run from the start
+      split_omega_ = true;
     }
   }
   // Checksum knob before any proposal: sealing is decided at send time, and
@@ -148,132 +148,57 @@ bool ConsensusSystem::quiescent() const {
 
 std::vector<Choice> ConsensusSystem::enabled() const {
   const ProcessId n = spec_.group.n;
+  const auto matters = [this](ProcessId to) { return delivery_matters(to); };
   std::vector<Choice> out;
-  for (ProcessId from = 0; from < n; ++from) {
-    for (ProcessId to = 0; to < n; ++to) {
-      if (net_.pending(from, to) > 0 && delivery_matters(to)) {
-        out.push_back(Choice{ChoiceKind::kDeliver, from, to, 0});
-      }
-    }
-  }
-  const std::uint32_t full_mask = (1u << n) - 1u;
-  for (ProcessId from = 0; from < n; ++from) {
-    if (net_.pending_wab(from) == 0) continue;
-    out.push_back(Choice{ChoiceKind::kOracle, from, 0, 0});
-    if (budgets_.oracle_subsets) {
-      for (std::uint32_t mask = 1; mask < full_mask; ++mask) {
-        out.push_back(Choice{ChoiceKind::kOracleSubset, from, 0, mask});
-      }
-    }
-  }
-  const std::uint32_t crash_cap =
-      budgets_.crashes < spec_.group.f ? budgets_.crashes : spec_.group.f;
-  if (crashes_used_ < crash_cap) {
-    for (ProcessId p = 0; p < n; ++p) {
-      if (!net_.crashed(p)) out.push_back(Choice{ChoiceKind::kCrash, p, 0, 0});
-    }
-  }
-  // Crash-during-delivery: only offered for storage-backed protocols (the
-  // rebooted incarnation needs durable state to recover from). m=1
-  // (mid-write) is not offered: an unsynced torn write is truncated by WAL
-  // recovery, so its post-state is identical to m=0 — replay still accepts
-  // m=1 as an alias that exercises the revert path.
-  if (!storages_.empty() && crash_restarts_used_ < budgets_.crash_restarts) {
+  // Every edge with a pending frame towards a recipient that still matters.
+  const auto each_edge = [&](auto fn) {
     for (ProcessId from = 0; from < n; ++from) {
       for (ProcessId to = 0; to < n; ++to) {
-        if (net_.pending(from, to) == 0 || !delivery_matters(to)) continue;
+        if (net_.pending(from, to) > 0 && matters(to)) fn(from, to);
+      }
+    }
+  };
+  shared_.enabled(net_, budgets_, matters, [&] {
+    // Crash-during-delivery: only offered for storage-backed protocols (the
+    // rebooted incarnation needs durable state to recover from). m=1
+    // (mid-write) is not offered: an unsynced torn write is truncated by WAL
+    // recovery, so its post-state is identical to m=0 — replay still accepts
+    // m=1 as an alias that exercises the revert path.
+    if (!storages_.empty() && crash_restarts_used_ < budgets_.crash_restarts) {
+      each_edge([&](ProcessId from, ProcessId to) {
         for (std::uint32_t m : {0u, 2u, 3u}) {
           out.push_back(Choice{ChoiceKind::kCrashDeliver, from, to, m});
         }
-      }
+      });
     }
-  }
-  // Corruption choice points (budgets flips/equivocations): the adversary
-  // may deliver a byte-flipped copy (three byte positions) or a divergent
-  // equivocation duplicate of any queued frame. The clean original always
-  // stays queued — corruption never destroys messages (detectable-drop
-  // model), so liveness invariants are unaffected.
-  if (flips_used_ < budgets_.flips) {
-    for (ProcessId from = 0; from < n; ++from) {
-      for (ProcessId to = 0; to < n; ++to) {
-        if (net_.pending(from, to) == 0 || !delivery_matters(to)) continue;
+    // Corruption choice points (budgets flips/equivocations): the adversary
+    // may deliver a byte-flipped copy (three byte positions) or a divergent
+    // equivocation duplicate of any queued frame. The clean original always
+    // stays queued — corruption never destroys messages (detectable-drop
+    // model), so liveness invariants are unaffected.
+    if (flips_used_ < budgets_.flips) {
+      each_edge([&](ProcessId from, ProcessId to) {
         for (std::uint32_t m : {0u, 1u, 2u}) {
           out.push_back(Choice{ChoiceKind::kFlip, from, to, m});
         }
-      }
+      });
     }
-  }
-  if (equivocations_used_ < budgets_.equivocations) {
-    for (ProcessId from = 0; from < n; ++from) {
-      for (ProcessId to = 0; to < n; ++to) {
-        if (net_.pending(from, to) == 0 || !delivery_matters(to)) continue;
+    if (equivocations_used_ < budgets_.equivocations) {
+      each_edge([&](ProcessId from, ProcessId to) {
         out.push_back(Choice{ChoiceKind::kEquivocate, from, to, 0});
-      }
+      });
     }
-  }
-  if (leader_flips_used_ < budgets_.leader_flips) {
-    for (ProcessId p = 0; p < n; ++p) {
-      if (net_.crashed(p)) continue;
-      for (ProcessId leader = 0; leader < n; ++leader) {
-        // "Flip to what it already is" would be a pure stutter; skip it.
-        if (net_.fd(p).omega.value != leader) {
-          out.push_back(Choice{ChoiceKind::kLeaderFlip, p, leader, 0});
-        }
-      }
-    }
-  }
-  if (suspect_flips_used_ < budgets_.suspect_flips) {
-    for (ProcessId p = 0; p < n; ++p) {
-      if (net_.crashed(p)) continue;
-      for (ProcessId q = 0; q < n; ++q) {
-        if (q != p) out.push_back(Choice{ChoiceKind::kSuspectFlip, p, q, 0});
-      }
-    }
-  }
+  }, out);
   return out;
 }
 
 bool ConsensusSystem::apply(const Choice& c) {
   const ProcessId n = spec_.group.n;
+  if (NetChoices::covers(c.kind)) {
+    return shared_.apply(
+        net_, c, [this](ProcessId to) { return delivery_matters(to); });
+  }
   switch (c.kind) {
-    case ChoiceKind::kDeliver:
-      if (c.a >= n || c.b >= n || !delivery_matters(c.b)) return false;
-      return net_.deliver_one(c.a, c.b);
-    case ChoiceKind::kOracle:
-      return c.a < n && net_.deliver_wab_broadcast(c.a);
-    case ChoiceKind::kOracleSubset: {
-      if (c.a >= n) return false;
-      const std::uint32_t full_mask = (1u << n) - 1u;
-      if (c.mask == 0 || c.mask >= full_mask) return false;
-      std::vector<ProcessId> targets;
-      for (ProcessId p = 0; p < n; ++p) {
-        if ((c.mask >> p) & 1u) targets.push_back(p);
-      }
-      return net_.deliver_wab_to(c.a, targets);
-    }
-    case ChoiceKind::kCrash:
-      if (c.a >= n || net_.crashed(c.a)) return false;
-      net_.crash(c.a);
-      ++crashes_used_;
-      stable_ = false;
-      return true;
-    case ChoiceKind::kLeaderFlip:
-      if (c.a >= n || c.b >= n || net_.crashed(c.a)) return false;
-      if (net_.fd(c.a).omega.value == c.b) return false;
-      net_.fd(c.a).omega.value = c.b;
-      net_.notify_fd_change(c.a);
-      ++leader_flips_used_;
-      stable_ = false;
-      return true;
-    case ChoiceKind::kSuspectFlip: {
-      if (c.a >= n || c.b >= n || c.a == c.b || net_.crashed(c.a)) return false;
-      auto& flags = net_.fd(c.a).suspects.flags;
-      flags[c.b] = !flags[c.b];
-      net_.notify_fd_change(c.a);
-      ++suspect_flips_used_;
-      stable_ = false;
-      return true;
-    }
     case ChoiceKind::kCrashDeliver: {
       // b dies while receiving the next a→b message, then reboots from
       // stable storage and re-proposes. Sub-point c.mask: 0 = on arrival
@@ -299,7 +224,6 @@ bool ConsensusSystem::apply(const Choice& c) {
       }
       std::vector<std::size_t> out_before;
       if (run_handler && !keep_sends) out_before = net_.out_sizes(c.b);
-      const std::uint32_t deliveries_before = net_.decision_deliveries(c.b);
       if (run_handler) {
         net_.deliver_one(c.a, c.b);
       } else {
@@ -308,12 +232,9 @@ bool ConsensusSystem::apply(const Choice& c) {
       if (run_handler && !keep_puts) {
         storages_[c.b]->restore(std::move(storage_before));
       }
-      if (!keep_sends) {
-        if (run_handler) net_.trim_out(c.b, out_before);
-        // The dying handler's own deliver_decision never reached the
-        // application either; rewind it with the sends.
-        net_.set_decision_deliveries(c.b, deliveries_before);
-      }
+      // The dying handler's sends never left, and its own deliver_decision
+      // never reached the application either: trim both.
+      if (run_handler && !keep_sends) net_.trim_out(c.b, out_before);
       // A decision that escaped to the application before the crash binds
       // every later incarnation (Uniform Agreement / Validity quantify over
       // it). For m<3 that is anything decided before this event; at m=3 the
@@ -322,14 +243,14 @@ bool ConsensusSystem::apply(const Choice& c) {
         prior_decisions_.emplace(c.b, keep_sends ? net_.protocol(c.b).decision()
                                                  : decision_before);
       }
-      base_deliveries_[c.b] = net_.decision_deliveries(c.b);
+      base_deliveries_[c.b] =
+          static_cast<std::uint32_t>(net_.delivered(c.b).size());
       net_.replace_protocol(c.b, factory_);
       if (!spec_.frame_checksums) {
         net_.protocol(c.b).set_frame_checksums(false);
       }
       net_.propose(c.b, spec_.proposals[c.b]);
       ++crash_restarts_used_;
-      stable_ = false;
       return true;
     }
     case ChoiceKind::kFlip: {
@@ -366,16 +287,16 @@ bool ConsensusSystem::apply(const Choice& c) {
           net_.protocol(c.b).corrupt_frames_dropped() - before;
       return true;
     }
-    case ChoiceKind::kSubmit: return false;  // abcast scenarios only
+    default: return false;  // kSubmit: abcast scenarios only
   }
-  return false;
 }
 
 ConsensusObs ConsensusSystem::observe() const {
   ConsensusObs obs;
   obs.group = spec_.group;
   obs.proposals = spec_.proposals;
-  obs.stable = stable_;
+  obs.stable = !split_omega_ && !shared_.perturbed() &&
+               crash_restarts_used_ == 0;
   obs.quiescent = quiescent();
   obs.procs.resize(spec_.group.n);
   for (ProcessId p = 0; p < spec_.group.n; ++p) {
@@ -391,8 +312,9 @@ ConsensusObs ConsensusSystem::observe() const {
     }
     // Integrity is per incarnation: deliveries charged to a crash-restarted
     // predecessor are subtracted (they are accounted as prior_decisions).
-    proc.decision_deliveries = net_.decision_deliveries(p) -
-                               base_deliveries_[p];
+    proc.decision_deliveries =
+        static_cast<std::uint32_t>(net_.delivered(p).size()) -
+        base_deliveries_[p];
   }
   obs.prior_decisions.assign(prior_decisions_.begin(), prior_decisions_.end());
   return obs;

@@ -1,4 +1,4 @@
-// System-under-check adapter wrapping DirectNet: one consensus instance
+// System-under-check adapter wrapping ConsensusNet: one consensus instance
 // across n processes, with every delivery, crash and FD flip surfaced as an
 // explicit Choice.
 #pragma once
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "check/direct_net.h"
+#include "check/net_choices.h"
 #include "check/system.h"
 
 namespace zdc::check {
@@ -50,12 +51,11 @@ class ConsensusSystem final : public System {
   std::vector<std::shared_ptr<CheckStorage>> storages_;
   /// The factory that built net_'s protocols; kCrashDeliver reuses it to
   /// build the rebooted incarnation over the surviving storage.
-  DirectNet::Factory factory_;
-  DirectNet net_;
-  bool stable_ = true;
-  std::uint32_t crashes_used_ = 0;
-  std::uint32_t leader_flips_used_ = 0;
-  std::uint32_t suspect_flips_used_ = 0;
+  sim::SimConsensusFactory factory_;
+  ConsensusNet net_;
+  NetChoices shared_;
+  /// Split initial Ω outputs: not a stable run from the start.
+  bool split_omega_ = false;
   std::uint32_t crash_restarts_used_ = 0;
   std::uint32_t flips_used_ = 0;
   std::uint32_t equivocations_used_ = 0;
@@ -77,6 +77,6 @@ class ConsensusSystem final : public System {
 /// The protocol factory for a scenario: the sim registry's factory for the
 /// plain protocol, or a knobbed instance when `spec.mutant` is set
 /// ("skip-one-step-quorum" on "p", "ignore-accepted" on "paxos"/"rec-paxos").
-DirectNet::Factory consensus_net_factory(const ScenarioSpec& spec);
+sim::SimConsensusFactory consensus_net_factory(const ScenarioSpec& spec);
 
 }  // namespace zdc::check

@@ -1,6 +1,6 @@
-// Direct-drive harness for consensus protocols: runs protocol instances with
-// *manual* message delivery, so a caller controls exactly which process
-// receives which round message in which order — the level of control the
+// Direct-drive harness: runs protocol instances with *manual* message
+// delivery, so a caller controls exactly which process receives which
+// message or oracle datagram in which order — the level of control the
 // paper's Figure-1 run constructions assume, and the substrate the schedule-
 // space model checker (src/check/explorer.h) enumerates.
 //
@@ -10,24 +10,27 @@
 // crashes, what the failure detectors say — is an explicit call, which is
 // what makes each one a recordable choice point (src/check/choice.h).
 //
-// Historically this lived in tests/direct_harness.h; it moved here so the
-// checking engine and the zdc_check CLI can drive it without reaching into
-// the test tree. tests/direct_harness.h re-exports the old names.
+// One net serves both protocol families: ConsensusNet drives
+// consensus::Consensus instances, AbcastNet atomic-broadcast stacks. Members
+// that only make sense for one family (propose/decided, a_broadcast/
+// total_order_ok) are instantiated only when used.
 #pragma once
 
+#include <algorithm>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "abcast/abcast.h"
+#include "check/invariants.h"
 #include "common/types.h"
 #include "consensus/consensus.h"
 #include "fault/corrupt.h"
 #include "fd/failure_detector.h"
+#include "sim/protocol_host.h"
 
 namespace zdc::check {
 
@@ -47,18 +50,17 @@ struct StubFd {
   Suspects suspects;
 };
 
+template <class P>
 class DirectNet {
  public:
-  using Factory = std::function<std::unique_ptr<consensus::Consensus>(
-      ProcessId self, GroupParams group, consensus::ConsensusHost& host,
-      const fd::OmegaView& omega, const fd::SuspectView& suspects)>;
+  using Output = typename sim::ProtocolTraits<P>::Output;
 
-  DirectNet(GroupParams group, const Factory& factory) : group_(group) {
-    fds_.resize(group.n);
+  DirectNet(GroupParams group, const sim::ProtocolFactory<P>& factory)
+      : group_(group), outputs_(group.n), crashed_(group.n, false) {
+    fds_.reserve(group.n);
     hosts_.reserve(group.n);
-    decision_deliveries_.assign(group.n, 0);
     for (ProcessId p = 0; p < group.n; ++p) {
-      fds_[p] = std::make_unique<StubFd>();
+      fds_.push_back(std::make_unique<StubFd>());
       fds_[p]->suspects.flags.assign(group.n, false);
       hosts_.push_back(std::make_unique<Host>(*this, p));
     }
@@ -70,22 +72,61 @@ class DirectNet {
 
   [[nodiscard]] GroupParams group() const { return group_; }
 
-  consensus::Consensus& protocol(ProcessId p) { return *protocols_[p]; }
-  [[nodiscard]] const consensus::Consensus& protocol(ProcessId p) const {
-    return *protocols_[p];
-  }
+  P& protocol(ProcessId p) { return *protocols_[p]; }
+  [[nodiscard]] const P& protocol(ProcessId p) const { return *protocols_[p]; }
   StubFd& fd(ProcessId p) { return *fds_[p]; }
   [[nodiscard]] const StubFd& fd(ProcessId p) const { return *fds_[p]; }
 
   void set_leader_everywhere(ProcessId leader) {
     for (auto& fd : fds_) fd->omega.value = leader;
   }
-  void notify_fd_change(ProcessId p) { protocols_[p]->on_fd_change(); }
+  /// Runs p's FD-change handler, unless p is crashed.
+  void notify_fd_change(ProcessId p) {
+    if (!crashed(p)) protocols_[p]->on_fd_change();
+  }
   void notify_fd_change_all() {
-    for (auto& proto : protocols_) proto->on_fd_change();
+    for (ProcessId p = 0; p < group_.n; ++p) notify_fd_change(p);
   }
 
+  // --- consensus ---
+
   void propose(ProcessId p, Value v) { protocols_[p]->propose(std::move(v)); }
+  [[nodiscard]] bool decided(ProcessId p) const {
+    return protocols_[p]->decided();
+  }
+  [[nodiscard]] const Value& decision(ProcessId p) const {
+    return protocols_[p]->decision();
+  }
+
+  // --- atomic broadcast ---
+
+  abcast::MsgId a_broadcast(ProcessId p, std::string payload) {
+    const abcast::MsgId id = protocols_[p]->a_broadcast(std::move(payload));
+    submitted_.push_back(id);
+    return id;
+  }
+  /// Every id handed out by a_broadcast — the ground truth for the
+  /// No-creation invariant (check_no_creation / check_abcast).
+  [[nodiscard]] const std::vector<abcast::MsgId>& submitted() const {
+    return submitted_;
+  }
+  /// Pairwise prefix consistency of the delivery histories (Uniform Total
+  /// Order), via the shared invariant library.
+  [[nodiscard]] bool total_order_ok() const {
+    return !check_total_order(outputs_).has_value();
+  }
+
+  /// What p's host handed up, in order: every deliver_decision (consensus —
+  /// the Uniform Integrity probe: a correct protocol decides exactly once per
+  /// incarnation, see check::check_integrity) or every a-delivery.
+  [[nodiscard]] const std::vector<Output>& delivered(ProcessId p) const {
+    return outputs_[p];
+  }
+  [[nodiscard]] const std::vector<std::vector<Output>>& histories() const {
+    return outputs_;
+  }
+
+  // --- transport ---
 
   /// Number of undelivered messages queued on edge from→to.
   [[nodiscard]] std::size_t pending(ProcessId from, ProcessId to) const {
@@ -107,6 +148,33 @@ class DirectNet {
     if (!crashed(to)) protocols_[to]->on_message(from, bytes);
     return true;
   }
+
+  /// Delivers every queued message on from→to.
+  void deliver_edge(ProcessId from, ProcessId to) {
+    while (deliver_one(from, to)) {
+    }
+  }
+
+  /// Drains every transport edge (repeatedly, since deliveries generate new
+  /// traffic). Oracle datagrams stay queued; settle() drains those too.
+  void deliver_all() { drain(false); }
+  /// Drains transport edges and oracle datagrams until quiescent.
+  void settle() { drain(true); }
+
+  /// Discards all queued messages from `from` to `to`.
+  void drop_edge(ProcessId from, ProcessId to) { edges_.erase({from, to}); }
+
+  /// Consumes the oldest message on from→to *without* running the handler —
+  /// the recipient died on arrival (kCrashDeliver m=0). Returns false if
+  /// the edge is empty.
+  bool drop_one(ProcessId from, ProcessId to) {
+    const auto it = edges_.find({from, to});
+    if (it == edges_.end() || it->second.empty()) return false;
+    it->second.pop_front();
+    return true;
+  }
+
+  // --- corruption ---
 
   /// Size of the oldest queued message on from→to (0 when the edge is
   /// empty) — lets a caller aim a byte flip at a frame position.
@@ -132,56 +200,82 @@ class DirectNet {
     return true;
   }
 
-  /// Delivers every queued message on from→to.
-  void deliver_edge(ProcessId from, ProcessId to) {
-    while (deliver_one(from, to)) {
-    }
+  /// Arms the equivocating-sender mutant: every transport broadcast by p
+  /// delivers per-receiver *divergent* bytes — the last byte of each remote
+  /// copy is flipped in a receiver-specific bit (the last byte of a
+  /// PaxosAbcast p2a/p2b frame is payload tail, so divergent copies decode
+  /// fine and smuggle different app payloads into the same slot). The
+  /// sender's own copy stays clean. This is the planted byzantine fault the
+  /// Uniform Total Order oracle must catch.
+  void arm_equivocation(ProcessId p) { equivocating_ = p; }
+
+  // --- ordering-oracle channel ---
+
+  /// Oracle datagrams queued by `from`, not yet delivered.
+  [[nodiscard]] std::size_t pending_wab(ProcessId from) const {
+    const auto it = wab_out_.find(from);
+    return it == wab_out_.end() ? 0 : it->second.size();
   }
 
-  /// Drains everything (repeatedly, since deliveries generate new traffic).
-  void deliver_all() {
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (ProcessId from = 0; from < group_.n; ++from) {
-        for (ProcessId to = 0; to < group_.n; ++to) {
-          if (deliver_one(from, to)) progressed = true;
-        }
+  /// Takes the oldest oracle datagram of `from` and delivers it to every
+  /// process (spontaneous order), or only to `targets` if given. A partial
+  /// delivery re-queues the datagram at the back: the WAB oracle's Validity
+  /// property promises *eventual* delivery to every correct process, so an
+  /// adversary may delay and reorder oracle traffic but not destroy it
+  /// (duplicates are fine — Uniform Integrity is the receiver's problem and
+  /// every consumer in this codebase is idempotent).
+  bool deliver_wab(ProcessId from,
+                   const std::vector<ProcessId>* targets = nullptr) {
+    const auto it = wab_out_.find(from);
+    if (it == wab_out_.end() || it->second.empty()) return false;
+    auto datagram = it->second.front();
+    it->second.pop_front();
+    for (ProcessId to = 0; to < group_.n; ++to) {
+      if (targets != nullptr &&
+          std::find(targets->begin(), targets->end(), to) == targets->end()) {
+        continue;
+      }
+      if (!crashed(to)) {
+        protocols_[to]->on_w_deliver(datagram.first, from, datagram.second);
       }
     }
-  }
-
-  /// Discards all queued messages from `from` to `to`.
-  void drop_edge(ProcessId from, ProcessId to) {
-    edges_.erase({from, to});
-  }
-
-  /// Consumes the oldest message on from→to *without* running the handler —
-  /// the recipient died on arrival (kCrashDeliver m=0). Returns false if
-  /// the edge is empty.
-  bool drop_one(ProcessId from, ProcessId to) {
-    const auto it = edges_.find({from, to});
-    if (it == edges_.end() || it->second.empty()) return false;
-    it->second.pop_front();
+    if (targets != nullptr) it->second.push_back(std::move(datagram));
     return true;
   }
 
-  /// Snapshot of `from`'s outbound queue sizes (n transport edges, then the
-  /// oracle queue) for trim_out() to restore.
+  // --- crash and recovery ---
+
+  /// The process stops participating; its queued outbound traffic survives
+  /// unless dropped explicitly (messages already "on the wire").
+  void crash(ProcessId p) { crashed_[p] = true; }
+  [[nodiscard]] bool crashed(ProcessId p) const { return crashed_[p]; }
+
+  /// Crash-recovery: replaces p's protocol with a fresh incarnation built by
+  /// `factory` (which may re-inject durable state) and marks p alive again.
+  /// Pending inbound traffic survives the restart (it is "on the wire").
+  void replace_protocol(ProcessId p, const sim::ProtocolFactory<P>& factory) {
+    protocols_[p] = factory(p, group_, *hosts_[p], fds_[p]->omega,
+                            fds_[p]->suspects);
+    crashed_[p] = false;
+  }
+
+  /// Snapshot of everything `from` has emitted so far: its n transport
+  /// queues, its oracle queue, then its delivered() count — for trim_out().
   [[nodiscard]] std::vector<std::size_t> out_sizes(ProcessId from) const {
-    std::vector<std::size_t> sizes(group_.n + 1, 0);
+    std::vector<std::size_t> sizes(group_.n + 2, 0);
     for (ProcessId to = 0; to < group_.n; ++to) {
       sizes[to] = pending(from, to);
     }
     sizes[group_.n] = pending_wab(from);
+    sizes[group_.n + 1] = outputs_[from].size();
     return sizes;
   }
 
-  /// Pops the *back* of `from`'s outbound queues down to a prior out_sizes()
-  /// snapshot: discards exactly what `from` sent since the snapshot (the
-  /// dying event's output), leaving older traffic already on the wire
-  /// intact. Front pops by concurrent deliveries cannot be confused with
-  /// back pushes here because both happen under the single-threaded driver.
+  /// Discards exactly what `from` emitted since an out_sizes() snapshot —
+  /// the dying event's sends and upcalls — by popping the *back* of its
+  /// queues, leaving older traffic already on the wire intact. Front pops by
+  /// concurrent deliveries cannot be confused with back pushes here because
+  /// one thread drives the net.
   void trim_out(ProcessId from, const std::vector<std::size_t>& sizes) {
     for (ProcessId to = 0; to < group_.n; ++to) {
       auto it = edges_.find({from, to});
@@ -192,122 +286,62 @@ class DirectNet {
     if (wab != wab_out_.end()) {
       while (wab->second.size() > sizes[group_.n]) wab->second.pop_back();
     }
-  }
-
-  // --- ordering-oracle channel (WabConsensus) ---
-
-  /// Oracle datagrams queued by `from` (stage, payload), not yet delivered.
-  [[nodiscard]] std::size_t pending_wab(ProcessId from) const {
-    const auto it = wab_out_.find(from);
-    return it == wab_out_.end() ? 0 : it->second.size();
-  }
-
-  /// Takes the oldest oracle datagram of `from` and delivers it only to
-  /// `targets`; the datagram is re-queued at the back afterwards — the WAB
-  /// oracle's Validity property lets an adversary delay and reorder oracle
-  /// traffic but not destroy it (receivers are idempotent, so the eventual
-  /// re-delivery duplicating at `targets` is harmless).
-  bool deliver_wab_to(ProcessId from, const std::vector<ProcessId>& targets) {
-    const auto it = wab_out_.find(from);
-    if (it == wab_out_.end() || it->second.empty()) return false;
-    auto datagram = it->second.front();
-    it->second.pop_front();
-    for (ProcessId to : targets) {
-      if (to < group_.n && !crashed(to)) {
-        protocols_[to]->on_w_deliver(datagram.first, from, datagram.second);
-      }
-    }
-    it->second.push_back(std::move(datagram));
-    return true;
-  }
-
-  /// Delivers the oldest oracle datagram of `from` to every process — the
-  /// "spontaneous order holds" case.
-  bool deliver_wab_broadcast(ProcessId from) {
-    const auto it = wab_out_.find(from);
-    if (it == wab_out_.end() || it->second.empty()) return false;
-    auto [stage, payload] = it->second.front();
-    it->second.pop_front();
-    for (ProcessId to = 0; to < group_.n; ++to) {
-      if (!crashed(to)) protocols_[to]->on_w_deliver(stage, from, payload);
-    }
-    return true;
-  }
-
-  /// The process stops participating; its queued outbound traffic survives
-  /// unless dropped explicitly (messages already "on the wire").
-  void crash(ProcessId p) { crashed_[p] = true; }
-
-  [[nodiscard]] bool crashed(ProcessId p) const {
-    const auto it = crashed_.find(p);
-    return it != crashed_.end() && it->second;
-  }
-
-  /// Crash-recovery: replaces p's protocol with a fresh incarnation built by
-  /// `factory` (which may re-inject durable state) and marks p alive again.
-  /// Pending inbound traffic survives the restart (it is "on the wire").
-  void replace_protocol(ProcessId p, const Factory& factory) {
-    protocols_[p] = factory(p, group_, *hosts_[p], fds_[p]->omega,
-                            fds_[p]->suspects);
-    crashed_[p] = false;
-  }
-
-  [[nodiscard]] bool decided(ProcessId p) const {
-    return protocols_[p]->decided();
-  }
-  [[nodiscard]] const Value& decision(ProcessId p) const {
-    return protocols_[p]->decision();
-  }
-
-  /// How many times the host's deliver_decision fired at p — the Uniform
-  /// Integrity probe (a correct protocol decides exactly once per
-  /// incarnation; see check::check_integrity).
-  [[nodiscard]] std::uint32_t decision_deliveries(ProcessId p) const {
-    return decision_deliveries_[p];
-  }
-
-  /// Rewinds p's deliver_decision count to a snapshot — kCrashDeliver
-  /// discards a dying handler's local decision delivery along with its
-  /// sends (the process died before either escaped).
-  void set_decision_deliveries(ProcessId p, std::uint32_t count) {
-    decision_deliveries_[p] = count;
+    outputs_[from].resize(sizes[group_.n + 1]);
   }
 
  private:
-  struct Host final : consensus::ConsensusHost {
-    Host(DirectNet& net, ProcessId self) : net_(net), self_(self) {}
-    void send(ProcessId to, std::string bytes) override {
-      if (!net_.crashed(self_)) {
-        net_.edges_[{self_, to}].push_back(std::move(bytes));
+  using Host = sim::ForwardingHost<DirectNet, P>;
+  friend Host;
+
+  void drain(bool oracle) {
+    bool progressed = true;
+    while (progressed) {
+      progressed = false;
+      for (ProcessId from = 0; from < group_.n; ++from) {
+        while (oracle && deliver_wab(from)) progressed = true;
+        for (ProcessId to = 0; to < group_.n; ++to) {
+          if (deliver_one(from, to)) progressed = true;
+        }
       }
     }
-    void broadcast(std::string bytes) override {
-      if (net_.crashed(self_)) return;
-      for (ProcessId to = 0; to < net_.group_.n; ++to) {
-        net_.edges_[{self_, to}].push_back(bytes);
+  }
+
+  // Host calls.
+  void send(ProcessId from, ProcessId to, std::string bytes) {
+    if (!crashed(from)) edges_[{from, to}].push_back(std::move(bytes));
+  }
+  void broadcast(ProcessId from, std::string bytes) {
+    if (crashed(from)) return;
+    const bool equivocate = equivocating_ == from && !bytes.empty();
+    for (ProcessId to = 0; to < group_.n; ++to) {
+      if (equivocate && to != from) {
+        edges_[{from, to}].push_back(
+            fault::bit_flip_copy(bytes, bytes.size() - 1, to % 8u));
+      } else {
+        edges_[{from, to}].push_back(bytes);
       }
     }
-    void deliver_decision(const Value&) override {
-      ++net_.decision_deliveries_[self_];
-    }
-    void w_broadcast(std::uint64_t stage, std::string payload) override {
-      if (!net_.crashed(self_)) {
-        net_.wab_out_[self_].emplace_back(stage, std::move(payload));
-      }
-    }
-    DirectNet& net_;
-    ProcessId self_;
-  };
+  }
+  void w_broadcast(ProcessId from, std::uint64_t k, std::string payload) {
+    if (!crashed(from)) wab_out_[from].emplace_back(k, std::move(payload));
+  }
+  void output(ProcessId p, const Output& out) { outputs_[p].push_back(out); }
 
   GroupParams group_;
   std::vector<std::unique_ptr<StubFd>> fds_;
   std::vector<std::unique_ptr<Host>> hosts_;
-  std::vector<std::unique_ptr<consensus::Consensus>> protocols_;
-  std::vector<std::uint32_t> decision_deliveries_;
+  std::vector<std::unique_ptr<P>> protocols_;
+  std::vector<std::vector<Output>> outputs_;
+  std::vector<abcast::MsgId> submitted_;
   std::map<std::pair<ProcessId, ProcessId>, std::deque<std::string>> edges_;
   std::map<ProcessId, std::deque<std::pair<std::uint64_t, std::string>>>
       wab_out_;
-  std::map<ProcessId, bool> crashed_;
+  std::vector<bool> crashed_;
+  /// kNoProcess = honest run; otherwise the armed equivocating sender.
+  ProcessId equivocating_ = kNoProcess;
 };
+
+using ConsensusNet = DirectNet<consensus::Consensus>;
+using AbcastNet = DirectNet<abcast::AtomicBroadcast>;
 
 }  // namespace zdc::check

@@ -9,57 +9,31 @@
 #include "abcast/c_abcast.h"
 #include "abcast/paxos_abcast.h"
 #include "common/assert.h"
-#include "common/log.h"
-#include "sim/event_queue.h"
-#include "sim/sim_metrics.h"
 
 namespace zdc::sim {
 
 namespace {
 
+/// The paper's cluster workload on the process shell: Poisson a-broadcasts
+/// in, delivery histories recorded, the abcast properties checked at the end.
 class AbcastWorld {
  public:
   AbcastWorld(const AbcastRunConfig& cfg, const SimAbcastFactory& factory)
       : cfg_(cfg),
         rng_(cfg.seed),
-        lan_(cfg.net, cfg.group.n, rng_.fork(0x22)),
+        shell_(cfg, rng_.fork(0x22),
+               {[this](ProcessId p, const abcast::AppMessage& m) {
+                  record_delivery(p, m);
+                }}),
         workload_rng_(rng_.fork(0x33)),
-        fd_(cfg.fd, cfg.group.n, events_,
-            [this](ProcessId p) { notify_fd_change(p); }),
-        policy_(cfg.group.n),
-        blocked_(static_cast<std::size_t>(cfg.group.n) * cfg.group.n),
-        paused_work_(cfg.group.n) {
-    lan_.set_link_policy(&policy_);
+        nodes_(cfg.group.n) {
     build(factory);
   }
 
   AbcastRunResult run();
 
  private:
-  struct Node;
-
-  struct Host final : abcast::AbcastHost {
-    Host(AbcastWorld& world, ProcessId self) : world_(world), self_(self) {}
-    void send(ProcessId to, std::string bytes) override {
-      world_.unicast(self_, to, std::move(bytes));
-    }
-    void broadcast(std::string bytes) override {
-      world_.broadcast(self_, std::move(bytes));
-    }
-    void w_broadcast(InstanceId k, std::string payload) override {
-      world_.wab_broadcast(self_, k, std::move(payload));
-    }
-    void a_deliver(const abcast::AppMessage& m) override {
-      world_.record_delivery(self_, m);
-    }
-    AbcastWorld& world_;
-    ProcessId self_;
-  };
-
   struct Node {
-    std::unique_ptr<Host> host;
-    std::unique_ptr<abcast::AtomicBroadcast> protocol;
-    bool crashed = false;
     std::vector<abcast::MsgId> history;  ///< delivery order
     std::set<abcast::MsgId> delivered;
     bool duplicate_delivery = false;
@@ -67,38 +41,14 @@ class AbcastWorld {
 
   void build(const SimAbcastFactory& factory);
   void schedule_workload();
-  void unicast(ProcessId from, ProcessId to, std::string bytes);
-  void broadcast(ProcessId from, std::string bytes);
-  void wab_broadcast(ProcessId from, InstanceId k, std::string payload);
-  void deliver_transport(ProcessId from, ProcessId to, TimePoint tx_end,
-                         const std::shared_ptr<const std::string>& bytes);
   void record_delivery(ProcessId p, const abcast::AppMessage& m);
-  void notify_fd_change(ProcessId p);
-  void crash(ProcessId p);
-  void apply_fault(const fault::FaultAction& a);
-  void run_on_node(ProcessId p, std::function<void()> fn);
-  void release_unblocked();
-  void release_paused(ProcessId p);
   [[nodiscard]] bool workload_complete() const;
-
-  void trace(TraceKind kind, ProcessId subject, ProcessId peer = kNoProcess,
-             std::string detail = {}) {
-    if (cfg_.trace != nullptr) {
-      cfg_.trace->record(events_.now(), kind, subject, peer, std::move(detail));
-    }
-    note_kind(kind_counters_, kind, subject);
-  }
 
   const AbcastRunConfig& cfg_;
   common::Rng rng_;
-  EventQueue events_;
-  LanModel lan_;
+  ProcessShell<abcast::AtomicBroadcast> shell_;
   common::Rng workload_rng_;
-  FdSim fd_;
   std::vector<Node> nodes_;
-  fault::LinkPolicy policy_;
-  std::vector<std::vector<std::shared_ptr<const std::string>>> blocked_;
-  std::vector<std::vector<std::function<void()>>> paused_work_;
   /// Processes crashed by either CrashSpec or the fault plan — such senders'
   /// messages are not owed to everyone unless actually delivered somewhere.
   std::vector<bool> ever_crashes_;
@@ -114,54 +64,37 @@ class AbcastWorld {
   /// by a process that never crashes, plus everything delivered anywhere.
   std::set<abcast::MsgId> expected_;
   std::uint32_t submitted_ = 0;
-  /// Per-(kind, process) counters; empty when cfg_.metrics == nullptr.
-  KindCounters kind_counters_;
 };
 
 void AbcastWorld::build(const SimAbcastFactory& factory) {
-  const std::uint32_t n = cfg_.group.n;
-  nodes_.resize(n);
-  kind_counters_ = register_kind_counters(cfg_.metrics, n);
-
-  std::vector<bool> initially_crashed(n, false);
+  ever_crashes_.assign(cfg_.group.n, false);
   for (const CrashSpec& c : cfg_.crashes) {
-    ZDC_ASSERT(c.p < n);
-    if (c.initial) initially_crashed[c.p] = true;
+    ZDC_ASSERT_MSG(c.truncate_broadcast_index == 0 && c.restart_time < 0.0,
+                   "AbcastWorld is crash-stop; no truncation or restart");
+    ZDC_ASSERT(c.p < cfg_.group.n);
+    ever_crashes_[c.p] = true;
   }
-
-  for (ProcessId p = 0; p < n; ++p) {
-    Node& node = nodes_[p];
-    node.host = std::make_unique<Host>(*this, p);
-    node.crashed = initially_crashed[p];
-  }
-  fd_.initialize(initially_crashed);
-  // Protocols are created after the FD holds its t=0 output: Paxos-Abcast
-  // reads Ω in its constructor.
-  for (ProcessId p = 0; p < n; ++p) {
-    nodes_[p].protocol = factory(p, cfg_.group, *nodes_[p].host,
-                                 fd_.omega_view(p), fd_.suspect_view(p));
-    // Batching knobs: the factory signature is protocol-agnostic, so the
-    // world applies them via the concrete types (defaults = legacy).
-    abcast::configure_batching(*nodes_[p].protocol, cfg_.batching);
-  }
-
-  for (const CrashSpec& c : cfg_.crashes) {
-    ZDC_ASSERT_MSG(c.truncate_broadcast_index == 0,
-                   "broadcast truncation is a ConsensusWorld-only feature");
-    if (!c.initial) {
-      events_.at(c.time, [this, p = c.p] { crash(p); });
-    }
-  }
-
-  ever_crashes_.assign(n, false);
-  for (const CrashSpec& c : cfg_.crashes) ever_crashes_[c.p] = true;
   for (const fault::FaultAction& a : cfg_.fault_plan.actions) {
     ZDC_ASSERT_MSG(a.kind != fault::FaultKind::kRestart,
                    "AbcastWorld is crash-stop; no restart support");
+    ZDC_ASSERT_MSG(a.kind != fault::FaultKind::kFlip &&
+                       a.kind != fault::FaultKind::kStateCorrupt &&
+                       a.kind != fault::FaultKind::kEquivocate,
+                   "AbcastWorld runs no corruption faults");
     if (a.kind == fault::FaultKind::kCrash) ever_crashes_[a.p] = true;
-    events_.at(a.time, [this, a] { apply_fault(a); });
   }
 
+  shell_.start_fd(cfg_.crashes);
+  // Protocols are created after the FD holds its t=0 output: Paxos-Abcast
+  // reads Ω in its constructor.
+  shell_.build_protocols(factory);
+  for (ProcessId p = 0; p < cfg_.group.n; ++p) {
+    // Batching knobs: the factory signature is protocol-agnostic, so the
+    // world applies them via the concrete types (defaults = legacy).
+    abcast::configure_batching(shell_.protocol(p), cfg_.batching);
+  }
+  shell_.schedule_crashes(cfg_.crashes);
+  shell_.schedule_plan(cfg_.fault_plan);
   schedule_workload();
 }
 
@@ -171,31 +104,32 @@ void AbcastWorld::schedule_workload() {
   for (std::uint32_t i = 0; i < cfg_.message_count; ++i) {
     t += workload_rng_.exponential(mean_gap_ms);
     const std::uint32_t index = i;
-    events_.at(t, [this, index] {
+    shell_.events().at(t, [this, index] {
       // Uniform random sender among the currently-alive eligible processes
       // (paused processes cannot execute, so they cannot originate either).
+      const auto eligible = [this](ProcessId p) {
+        return p < shell_.size() && !shell_.crashed(p) && !shell_.paused(p);
+      };
       std::vector<ProcessId> alive;
       if (cfg_.workload_senders.empty()) {
-        for (ProcessId p = 0; p < nodes_.size(); ++p) {
-          if (!nodes_[p].crashed && !policy_.paused(p)) alive.push_back(p);
+        for (ProcessId p = 0; p < shell_.size(); ++p) {
+          if (eligible(p)) alive.push_back(p);
         }
       } else {
         for (ProcessId p : cfg_.workload_senders) {
-          if (p < nodes_.size() && !nodes_[p].crashed && !policy_.paused(p)) {
-            alive.push_back(p);
-          }
+          if (eligible(p)) alive.push_back(p);
         }
       }
       if (alive.empty()) return;
       const ProcessId sender =
           alive[workload_rng_.next_below(alive.size())];
       std::string payload(cfg_.payload_bytes, 'x');
-      trace(TraceKind::kPropose, sender, kNoProcess,
-            "#" + std::to_string(index));
+      shell_.trace(TraceKind::kPropose, sender, kNoProcess,
+                   "#" + std::to_string(index));
       const abcast::MsgId id =
-          nodes_[sender].protocol->a_broadcast(std::move(payload));
+          shell_.protocol(sender).a_broadcast(std::move(payload));
       Tracked tr;
-      tr.broadcast_time = events_.now();
+      tr.broadcast_time = shell_.now();
       tr.index = index;
       tracked_.emplace(id, tr);
       ++submitted_;
@@ -208,102 +142,6 @@ void AbcastWorld::schedule_workload() {
   }
 }
 
-void AbcastWorld::unicast(ProcessId from, ProcessId to, std::string bytes) {
-  if (nodes_[from].crashed) return;
-  trace(TraceKind::kSend, from, to);
-  auto payload = std::make_shared<const std::string>(std::move(bytes));
-  if (from == to) {
-    const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-    events_.at(lan_.local_delivery(sent), [this, from, to, payload] {
-      run_on_node(to, [this, from, to, payload] {
-        trace(TraceKind::kDeliver, to, from);
-        nodes_[to].protocol->on_message(from, *payload);
-      });
-    });
-    return;
-  }
-  const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-  const TimePoint tx_end = lan_.occupy_medium(sent, payload->size());
-  deliver_transport(from, to, tx_end, payload);
-}
-
-void AbcastWorld::deliver_transport(
-    ProcessId from, ProcessId to, TimePoint tx_end,
-    const std::shared_ptr<const std::string>& bytes) {
-  if (lan_.link_blocked(from, to)) {
-    // TCP semantics: parked across the cut, re-injected on heal.
-    blocked_[static_cast<std::size_t>(from) * nodes_.size() + to].push_back(
-        bytes);
-    return;
-  }
-  const TimePoint arrival =
-      lan_.arrival_time(tx_end) + lan_.reliable_link_penalty_ms(from, to);
-  events_.at(arrival, [this, from, to, bytes] {
-    run_on_node(to, [this, from, to, bytes] {
-      const TimePoint handled = lan_.occupy_receiver_cpu(to, events_.now());
-      events_.at(handled, [this, from, to, bytes] {
-        run_on_node(to, [this, from, to, bytes] {
-          trace(TraceKind::kDeliver, to, from);
-          nodes_[to].protocol->on_message(from, *bytes);
-        });
-      });
-    });
-  });
-}
-
-void AbcastWorld::broadcast(ProcessId from, std::string bytes) {
-  if (nodes_[from].crashed) return;
-  auto payload = std::make_shared<const std::string>(std::move(bytes));
-  for (ProcessId to = 0; to < nodes_.size(); ++to) {
-    trace(TraceKind::kSend, from, to);
-    if (to == from) {
-      const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-      events_.at(lan_.local_delivery(sent), [this, from, to, payload] {
-        run_on_node(to, [this, from, to, payload] {
-          trace(TraceKind::kDeliver, to, from);
-          nodes_[to].protocol->on_message(from, *payload);
-        });
-      });
-    } else {
-      const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-      const TimePoint tx_end = lan_.occupy_medium(sent, payload->size());
-      deliver_transport(from, to, tx_end, payload);
-    }
-  }
-}
-
-void AbcastWorld::wab_broadcast(ProcessId from, InstanceId k,
-                                std::string payload) {
-  if (nodes_[from].crashed) return;
-  trace(TraceKind::kWabSend, from);
-  // The oracle is UDP broadcast: one CPU cost, one medium occupancy, and
-  // independent per-receiver jitter — the jitter is what produces collisions
-  // (different receivers seeing different firsts) under load. The sender
-  // receives its own datagram through the same medium path (multicast echo):
-  // this is what correlates the delivery order across *all* processes, the
-  // physical basis of spontaneous order.
-  auto body = std::make_shared<const std::string>(std::move(payload));
-  const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-  const TimePoint tx_end = lan_.occupy_medium(sent, body->size());
-  for (ProcessId to = 0; to < nodes_.size(); ++to) {
-    if (to != from && lan_.drop_wab_datagram()) continue;  // best-effort
-    if (to != from && lan_.drop_best_effort(from, to)) continue;  // nemesis
-    const TimePoint arrival =
-        lan_.wab_arrival_time(tx_end) + lan_.best_effort_extra_delay_ms(from, to);
-    events_.at(arrival, [this, from, to, k, body] {
-      run_on_node(to, [this, from, to, k, body] {
-        const TimePoint handled = lan_.occupy_receiver_cpu(to, events_.now());
-        events_.at(handled, [this, from, to, k, body] {
-          run_on_node(to, [this, from, to, k, body] {
-            trace(TraceKind::kWabDeliver, to, from);
-            nodes_[to].protocol->on_w_deliver(k, from, *body);
-          });
-        });
-      });
-    });
-  }
-}
-
 void AbcastWorld::record_delivery(ProcessId p, const abcast::AppMessage& m) {
   Node& node = nodes_[p];
   if (!node.delivered.insert(m.id).second) {
@@ -311,114 +149,34 @@ void AbcastWorld::record_delivery(ProcessId p, const abcast::AppMessage& m) {
     return;
   }
   node.history.push_back(m.id);
-  trace(TraceKind::kDecide, p, m.id.sender,
-        "s" + std::to_string(m.id.sender) + "/" + std::to_string(m.id.seq));
+  shell_.trace(TraceKind::kDecide, p, m.id.sender,
+               "s" + std::to_string(m.id.sender) + "/" +
+                   std::to_string(m.id.seq));
   expected_.insert(m.id);  // agreement: once delivered anywhere, owed to all
 
   auto it = tracked_.find(m.id);
   if (it != tracked_.end()) {
     Tracked& tr = it->second;
-    if (tr.first_delivery < 0.0) tr.first_delivery = events_.now();
-    if (m.id.sender == p) tr.sender_delivery = events_.now();
+    if (tr.first_delivery < 0.0) tr.first_delivery = shell_.now();
+    if (m.id.sender == p) tr.sender_delivery = shell_.now();
   }
-}
-
-void AbcastWorld::crash(ProcessId p) {
-  if (nodes_[p].crashed) return;
-  trace(TraceKind::kCrash, p);
-  nodes_[p].crashed = true;
-  fd_.on_crash(p);
-}
-
-void AbcastWorld::notify_fd_change(ProcessId p) {
-  if (nodes_[p].protocol == nullptr) return;
-  run_on_node(p, [this, p] { nodes_[p].protocol->on_fd_change(); });
-}
-
-void AbcastWorld::apply_fault(const fault::FaultAction& a) {
-  trace(TraceKind::kFault, a.p < nodes_.size() ? a.p : kNoProcess, kNoProcess,
-        fault::to_string(a));
-  switch (a.kind) {
-    case fault::FaultKind::kCrash:
-      crash(a.p);
-      break;
-    case fault::FaultKind::kRestart:
-      ZDC_ASSERT_MSG(false, "AbcastWorld is crash-stop; no restart support");
-      break;
-    case fault::FaultKind::kPause:
-      fault::apply_to_policy(a, policy_);
-      fd_.on_pause(a.p);
-      break;
-    case fault::FaultKind::kResume:
-      fault::apply_to_policy(a, policy_);
-      fd_.on_resume(a.p);
-      release_paused(a.p);
-      break;
-    default:
-      fault::apply_to_policy(a, policy_);
-      release_unblocked();
-      break;
-  }
-}
-
-void AbcastWorld::run_on_node(ProcessId p, std::function<void()> fn) {
-  if (nodes_[p].crashed) return;
-  if (policy_.paused(p)) {
-    paused_work_[p].push_back(std::move(fn));
-    return;
-  }
-  // Tag assertion failures inside the handler with (node, sim time) — every
-  // protocol invocation in this world funnels through here.
-  detail::AssertContextScope scope(p, events_.now());
-  fn();
-}
-
-void AbcastWorld::release_unblocked() {
-  const std::uint32_t n = cfg_.group.n;
-  for (ProcessId from = 0; from < n; ++from) {
-    for (ProcessId to = 0; to < n; ++to) {
-      auto& parked = blocked_[static_cast<std::size_t>(from) * n + to];
-      if (parked.empty() || lan_.link_blocked(from, to)) continue;
-      std::vector<std::shared_ptr<const std::string>> batch;
-      batch.swap(parked);
-      for (const auto& bytes : batch) {
-        deliver_transport(from, to, events_.now(), bytes);
-      }
-    }
-  }
-}
-
-void AbcastWorld::release_paused(ProcessId p) {
-  if (paused_work_[p].empty()) return;
-  auto work = std::make_shared<std::vector<std::function<void()>>>(
-      std::move(paused_work_[p]));
-  paused_work_[p] = {};
-  events_.at(events_.now(), [this, p, work] {
-    for (auto& fn : *work) run_on_node(p, fn);
-  });
 }
 
 bool AbcastWorld::workload_complete() const {
   if (submitted_ < cfg_.message_count) return false;
-  for (const Node& node : nodes_) {
-    if (node.crashed) continue;
+  for (ProcessId p = 0; p < shell_.size(); ++p) {
+    if (shell_.crashed(p)) continue;
     // delivered ⊆ expected always holds, so size equality means coverage.
-    if (node.delivered.size() < expected_.size()) return false;
+    if (nodes_[p].delivered.size() < expected_.size()) return false;
   }
   return true;
 }
 
 AbcastRunResult AbcastWorld::run() {
   AbcastRunResult result;
-  std::uint64_t executed = 0;
-  while (executed < cfg_.event_limit && !events_.empty() &&
-         events_.now() <= cfg_.time_limit_ms) {
-    events_.run_next();
-    ++executed;
-    if (workload_complete()) break;
-  }
-  result.events_executed = executed;
-  result.duration_ms = events_.now();
+  result.events_executed = shell_.run(cfg_.time_limit_ms, cfg_.event_limit,
+                                      [this] { return workload_complete(); });
+  result.duration_ms = shell_.now();
 
   // Latency samples (post-warmup messages that were delivered).
   const auto warmup_cutoff = static_cast<std::uint32_t>(
@@ -469,31 +227,29 @@ AbcastRunResult AbcastWorld::run() {
   }
 
   // Agreement / validity: every correct process holds every expected message.
-  for (Node& node : nodes_) {
-    if (node.crashed) continue;
+  for (ProcessId p = 0; p < shell_.size(); ++p) {
+    if (shell_.crashed(p)) continue;
     for (const abcast::MsgId& id : expected_) {
-      if (node.delivered.find(id) == node.delivered.end()) {
+      if (nodes_[p].delivered.find(id) == nodes_[p].delivered.end()) {
         ++result.undelivered;
         result.agreement_ok = false;
       }
     }
   }
 
-  ProcessId metric_p = 0;
-  for (Node& node : nodes_) {
-    node.protocol->finalize_metrics();
-    const abcast::AbcastMetrics& m = node.protocol->metrics();
+  for (ProcessId p = 0; p < shell_.size(); ++p) {
+    abcast::AtomicBroadcast& protocol = shell_.protocol(p);
+    protocol.finalize_metrics();
+    const abcast::AbcastMetrics& m = protocol.metrics();
     result.totals.a_broadcasts += m.a_broadcasts;
     result.totals.a_deliveries += m.a_deliveries;
     result.totals.w_broadcasts += m.w_broadcasts;
     result.totals.consensus_instances += m.consensus_instances;
     result.totals.transport += m.transport;
     if (cfg_.metrics != nullptr) {
-      cfg_.metrics
-          ->counter("zdc_sim_rounds_total", obs::process_label(metric_p))
+      cfg_.metrics->counter("zdc_sim_rounds_total", obs::process_label(p))
           .inc(m.consensus_instances);
     }
-    ++metric_p;
   }
   result.histories.reserve(nodes_.size());
   for (Node& node : nodes_) result.histories.push_back(std::move(node.history));

@@ -11,8 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,11 +18,7 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "fault/fault_plan.h"
-#include "fd/failure_detector.h"
-#include "sim/consensus_world.h"  // CrashSpec
-#include "sim/fd_sim.h"
-#include "sim/lan_model.h"
-#include "sim/trace.h"
+#include "sim/process_shell.h"
 
 namespace zdc::sim {
 
@@ -43,10 +37,14 @@ struct AbcastRunConfig : RunOptions {
   /// Fraction of earliest messages excluded from the latency statistics.
   double warmup_fraction = 0.1;
 
+  /// Crash-stop only: no restart_time and no broadcast truncation.
   std::vector<CrashSpec> crashes;
   /// Scripted nemesis actions (src/fault/): partitions/link faults/pauses and
   /// crashes. Restart actions are rejected — this world is crash-stop (the
-  /// crash-recovery abcast path lives in the threaded runtime).
+  /// crash-recovery abcast path lives in the threaded runtime). So are the
+  /// corruption actions (flip/scorrupt/equivocate): C-Abcast's tag and
+  /// instance header and every Paxos-Abcast frame sit outside the CRC seal,
+  /// so a flip here would not be a detectable drop.
   fault::FaultPlan fault_plan;
   TimePoint time_limit_ms = 300'000.0;
   std::uint64_t event_limit = 100'000'000;
@@ -83,10 +81,6 @@ struct AbcastRunResult {
                      static_cast<double>(delivered_unique);
   }
 };
-
-using SimAbcastFactory = std::function<std::unique_ptr<abcast::AtomicBroadcast>(
-    ProcessId self, GroupParams group, abcast::AbcastHost& host,
-    const fd::OmegaView& omega, const fd::SuspectView& suspects)>;
 
 /// "c-l" (C-Abcast over L-Consensus), "c-p", "wabcast", "paxos".
 SimAbcastFactory abcast_factory_by_name(const std::string& name);

@@ -5,8 +5,6 @@
 
 #include "common/assert.h"
 #include "common/stable_storage.h"
-#include "fault/corrupt.h"
-#include "common/log.h"
 #include "consensus/brasileiro.h"
 #include "consensus/chandra_toueg.h"
 #include "consensus/ef_consensus.h"
@@ -16,490 +14,134 @@
 #include "consensus/paxos.h"
 #include "consensus/recovering_paxos.h"
 #include "consensus/wab_consensus.h"
-#include "sim/event_queue.h"
-#include "sim/sim_metrics.h"
 
 namespace zdc::sim {
 
 namespace {
 
-/// The whole simulated deployment for one consensus instance.
+/// One consensus instance on the process shell: proposals in, decisions
+/// recorded, the consensus properties checked at the end.
 class ConsensusWorld {
  public:
-  ConsensusWorld(const ConsensusRunConfig& cfg, const SimConsensusFactory& factory)
+  ConsensusWorld(const ConsensusRunConfig& cfg,
+                 const SimConsensusFactory& factory)
       : cfg_(cfg),
-        factory_(factory),
-        rng_(cfg.seed),
-        lan_(cfg.net, cfg.group.n, rng_.fork(0x11)),
-        fd_(cfg.fd, cfg.group.n, events_,
-            [this](ProcessId p) { notify_fd_change(p); }),
-        policy_(cfg.group.n),
-        blocked_(static_cast<std::size_t>(cfg.group.n) * cfg.group.n),
-        paused_work_(cfg.group.n) {
-    lan_.set_link_policy(&policy_);
-    build_nodes(factory);
+        shell_(cfg, common::Rng(cfg.seed).fork(0x11),
+               {[this](ProcessId p, const Value& v) { record_decision(p, v); },
+                [this](ProcessId p) { on_crash(p); },
+                [this](ProcessId p) {
+                  shell_.protocol(p).propose(cfg_.proposals[p]);
+                },
+                /*trace_fd_changes=*/true}),
+        outcomes_(cfg.group.n) {
+    build(factory);
   }
 
   ConsensusRunResult run();
 
  private:
-  struct Node;
-
-  /// ConsensusHost implementation routing into the world.
-  struct Host final : consensus::ConsensusHost {
-    Host(ConsensusWorld& world, ProcessId self) : world_(world), self_(self) {}
-    void send(ProcessId to, std::string bytes) override {
-      world_.unicast(self_, to, std::move(bytes));
-    }
-    void broadcast(std::string bytes) override {
-      world_.broadcast(self_, std::move(bytes));
-    }
-    void deliver_decision(const Value& v) override {
-      world_.record_decision(self_, v);
-    }
-    void w_broadcast(std::uint64_t stage, std::string payload) override {
-      world_.wab_broadcast(self_, stage, std::move(payload));
-    }
-    ConsensusWorld& world_;
-    ProcessId self_;
-  };
-
-  struct Node {
-    std::unique_ptr<Host> host;
-    std::unique_ptr<consensus::Consensus> protocol;
-    bool crashed = false;
-    std::uint32_t broadcasts_done = 0;
-    // Pending mid-broadcast truncation, if any.
-    std::uint32_t truncate_at = 0;
-    std::vector<ProcessId> truncate_targets;
-    ProcessOutcome outcome;
-  };
-
-  void build_nodes(const SimConsensusFactory& factory);
-  void unicast(ProcessId from, ProcessId to, std::string bytes);
-  void broadcast(ProcessId from, std::string bytes);
-  void wab_broadcast(ProcessId from, std::uint64_t stage, std::string payload);
-  void deliver_one(ProcessId from, ProcessId to, TimePoint tx_end,
-                   const std::shared_ptr<const std::string>& bytes);
-  void schedule_arrival(ProcessId from, ProcessId to, TimePoint tx_end,
-                        const std::shared_ptr<const std::string>& bytes);
+  void build(const SimConsensusFactory& factory);
   void record_decision(ProcessId p, const Value& v);
-  void notify_fd_change(ProcessId p);
-  void crash(ProcessId p);
-  void restart(ProcessId p);
-  void apply_fault(const fault::FaultAction& a);
-  /// Runs `fn` as node p now — unless p is crashed (dropped) or paused
-  /// (parked until resume). Every entry into protocol code goes through here.
-  void run_on_node(ProcessId p, std::function<void()> fn);
-  void release_unblocked();
-  void release_paused(ProcessId p);
-  [[nodiscard]] bool all_correct_decided() const;
-
-  void trace(TraceKind kind, ProcessId subject, ProcessId peer = kNoProcess,
-             std::string detail = {}) {
-    if (cfg_.trace != nullptr) {
-      cfg_.trace->record(events_.now(), kind, subject, peer, std::move(detail));
-    }
-    note_kind(kind_counters_, kind, subject);
-  }
+  void on_crash(ProcessId p);
 
   const ConsensusRunConfig& cfg_;
-  const SimConsensusFactory& factory_;
-  common::Rng rng_;
-  EventQueue events_;
-  LanModel lan_;
-  FdSim fd_;
-  std::vector<Node> nodes_;
-  fault::LinkPolicy policy_;
-  /// Reliable messages parked on a cut link, re-injected when it re-opens
-  /// (row-major (from, to) like the policy table).
-  std::vector<std::vector<std::shared_ptr<const std::string>>> blocked_;
-  /// Work frozen while its target process is paused, flushed on resume.
-  std::vector<std::vector<std::function<void()>>> paused_work_;
+  ProcessShell<consensus::Consensus> shell_;
+  std::vector<ProcessOutcome> outcomes_;
   std::size_t undecided_correct_ = 0;
   bool reincarnation_conflict_ = false;
-  std::uint64_t frames_corrupted_ = 0;
-  std::uint64_t equivocations_ = 0;
-  /// Per-(kind, process) counters; empty when cfg_.metrics == nullptr.
-  KindCounters kind_counters_;
 };
 
-void ConsensusWorld::build_nodes(const SimConsensusFactory& factory) {
+void ConsensusWorld::build(const SimConsensusFactory& factory) {
   const std::uint32_t n = cfg_.group.n;
   ZDC_ASSERT_MSG(cfg_.proposals.size() == n, "need one proposal per process");
-  nodes_.resize(n);
-  kind_counters_ = register_kind_counters(cfg_.metrics, n);
-
-  std::vector<bool> initially_crashed(n, false);
-  for (const CrashSpec& c : cfg_.crashes) {
-    ZDC_ASSERT(c.p < n);
-    if (c.initial) initially_crashed[c.p] = true;
-  }
+  shell_.build_protocols(factory);
+  shell_.start_fd(cfg_.crashes);
+  shell_.schedule_crashes(cfg_.crashes);
+  // A process the spec crashes (or cuts off mid-broadcast) is faulty from
+  // the start: the run does not wait for its decision.
+  for (const CrashSpec& c : cfg_.crashes) outcomes_[c.p].correct = false;
 
   for (ProcessId p = 0; p < n; ++p) {
-    Node& node = nodes_[p];
-    node.host = std::make_unique<Host>(*this, p);
-    node.protocol = factory(p, cfg_.group, *node.host, fd_.omega_view(p),
-                            fd_.suspect_view(p));
-    node.crashed = initially_crashed[p];
-    node.outcome.correct = !initially_crashed[p];
-  }
-
-  fd_.initialize(initially_crashed);
-
-  // Schedule timed crashes and arm broadcast truncations.
-  for (const CrashSpec& c : cfg_.crashes) {
-    if (c.initial) continue;
-    if (c.truncate_broadcast_index > 0) {
-      nodes_[c.p].truncate_at = c.truncate_broadcast_index;
-      nodes_[c.p].truncate_targets = c.partial_targets;
-      nodes_[c.p].outcome.correct = false;
-    } else {
-      nodes_[c.p].outcome.correct = false;
-      events_.at(c.time, [this, p = c.p] { crash(p); });
-      if (c.restart_time >= 0.0) {
-        ZDC_ASSERT_MSG(c.restart_time > c.time,
-                       "restart must come after the crash");
-        events_.at(c.restart_time, [this, p = c.p] { restart(p); });
-      }
-    }
-  }
-
-  // Schedule proposals.
-  for (ProcessId p = 0; p < n; ++p) {
-    if (nodes_[p].crashed) continue;
+    if (shell_.crashed(p)) continue;
     const TimePoint when =
         p < cfg_.propose_times.size() ? cfg_.propose_times[p] : 0.0;
-    events_.at(when, [this, p] {
-      run_on_node(p, [this, p] {
-        trace(TraceKind::kPropose, p, kNoProcess, cfg_.proposals[p]);
-        nodes_[p].protocol->propose(cfg_.proposals[p]);
+    shell_.events().at(when, [this, p] {
+      shell_.run_on_node(p, [this, p] {
+        shell_.trace(TraceKind::kPropose, p, kNoProcess, cfg_.proposals[p]);
+        shell_.protocol(p).propose(cfg_.proposals[p]);
       });
     });
   }
+  shell_.schedule_plan(cfg_.fault_plan);
 
-  // Schedule the nemesis plan.
-  for (const fault::FaultAction& a : cfg_.fault_plan.actions) {
-    events_.at(a.time, [this, a] { apply_fault(a); });
-  }
-
-  undecided_correct_ = 0;
-  for (const Node& node : nodes_) {
-    if (node.outcome.correct) ++undecided_correct_;
+  for (const ProcessOutcome& o : outcomes_) {
+    if (o.correct) ++undecided_correct_;
   }
 }
 
-void ConsensusWorld::unicast(ProcessId from, ProcessId to, std::string bytes) {
-  ZDC_ASSERT(to < nodes_.size());
-  if (nodes_[from].crashed) return;
-  trace(TraceKind::kSend, from, to);
-  auto payload = std::make_shared<const std::string>(std::move(bytes));
-  if (from == to) {
-    const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-    events_.at(lan_.local_delivery(sent), [this, from, to, payload] {
-      run_on_node(to, [this, from, to, payload] {
-        trace(TraceKind::kDeliver, to, from);
-        nodes_[to].protocol->on_message(from, *payload);
-      });
-    });
-    return;
+void ConsensusWorld::on_crash(ProcessId p) {
+  ProcessOutcome& o = outcomes_[p];
+  if (o.correct) {
+    o.correct = false;
+    if (!o.decided) --undecided_correct_;
   }
-  const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-  const TimePoint tx_end = lan_.occupy_medium(sent, payload->size());
-  deliver_one(from, to, tx_end, payload);
-}
-
-void ConsensusWorld::deliver_one(ProcessId from, ProcessId to, TimePoint tx_end,
-                                 const std::shared_ptr<const std::string>& bytes) {
-  if (lan_.link_blocked(from, to)) {
-    // TCP semantics: the connection stalls across the cut and resumes after
-    // the heal — the bytes are parked, not lost (release_unblocked).
-    blocked_[static_cast<std::size_t>(from) * nodes_.size() + to].push_back(
-        bytes);
-    return;
-  }
-  fault::CorruptSpec spec;
-  if (lan_.consume_corruption(from, to, &spec)) {
-    // Surface-then-retransmit: the corrupted frame arrives first (the
-    // receiver's integrity layer sees — and drops — real garbage), and the
-    // clean original follows one retransmission quantum later. The reliable
-    // channel never loses data, so corruption costs latency, not liveness.
-    ++frames_corrupted_;
-    auto corrupted = std::make_shared<const std::string>(
-        fault::bit_flip_copy(*bytes, spec.byte, spec.bit));
-    schedule_arrival(from, to, tx_end, corrupted);
-    schedule_arrival(from, to, tx_end + lan_.config().reliable_retransmit_ms,
-                     bytes);
-    return;
-  }
-  schedule_arrival(from, to, tx_end, bytes);
-}
-
-void ConsensusWorld::schedule_arrival(
-    ProcessId from, ProcessId to, TimePoint tx_end,
-    const std::shared_ptr<const std::string>& bytes) {
-  const TimePoint arrival =
-      lan_.arrival_time(tx_end) + lan_.reliable_link_penalty_ms(from, to);
-  events_.at(arrival, [this, from, to, bytes] {
-    run_on_node(to, [this, from, to, bytes] {
-      const TimePoint handled = lan_.occupy_receiver_cpu(to, events_.now());
-      events_.at(handled, [this, from, to, bytes] {
-        run_on_node(to, [this, from, to, bytes] {
-          trace(TraceKind::kDeliver, to, from);
-          nodes_[to].protocol->on_message(from, *bytes);
-        });
-      });
-    });
-  });
-}
-
-void ConsensusWorld::broadcast(ProcessId from, std::string bytes) {
-  Node& sender = nodes_[from];
-  if (sender.crashed) return;
-  ++sender.broadcasts_done;
-
-  const bool truncated = sender.truncate_at != 0 &&
-                         sender.broadcasts_done == sender.truncate_at;
-  auto payload = std::make_shared<const std::string>(std::move(bytes));
-  // Equivocation (duplicate-divergent-send): this broadcast also puts a
-  // divergent duplicate on the wire to every remote receiver, each copy
-  // corrupted differently (the flipped bit varies by receiver). With frame
-  // checksums on, every duplicate is a detectable drop; the total-order and
-  // agreement oracles confirm the originals still carry the run.
-  const bool equivocating = lan_.consume_equivocation(from);
-
-  for (ProcessId to = 0; to < nodes_.size(); ++to) {
-    if (truncated &&
-        std::find(sender.truncate_targets.begin(), sender.truncate_targets.end(),
-                  to) == sender.truncate_targets.end()) {
-      continue;
-    }
-    if (to == from) {
-      trace(TraceKind::kSend, from, to);
-      const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-      events_.at(lan_.local_delivery(sent), [this, from, to, payload] {
-        run_on_node(to, [this, from, to, payload] {
-          trace(TraceKind::kDeliver, to, from);
-          nodes_[to].protocol->on_message(from, *payload);
-        });
-      });
-    } else {
-      trace(TraceKind::kSend, from, to);
-      const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-      const TimePoint tx_end = lan_.occupy_medium(sent, payload->size());
-      deliver_one(from, to, tx_end, payload);
-      if (equivocating) {
-        ++equivocations_;
-        auto divergent = std::make_shared<const std::string>(
-            fault::bit_flip_copy(*payload, fault::kMiddleByte, to % 8u));
-        const TimePoint tx2 = lan_.occupy_medium(tx_end, divergent->size());
-        deliver_one(from, to, tx2, divergent);
-      }
-    }
-  }
-
-  if (truncated) crash(from);
-}
-
-void ConsensusWorld::wab_broadcast(ProcessId from, std::uint64_t stage,
-                                   std::string payload) {
-  if (nodes_[from].crashed) return;
-  trace(TraceKind::kWabSend, from);
-  // UDP multicast: one transmission, per-receiver jitter; the sender hears
-  // its own datagram through the medium like everyone else (the order
-  // correlation that spontaneous order rests on).
-  auto body = std::make_shared<const std::string>(std::move(payload));
-  const TimePoint sent = lan_.occupy_sender_cpu(from, events_.now());
-  const TimePoint tx_end = lan_.occupy_medium(sent, body->size());
-  for (ProcessId to = 0; to < nodes_.size(); ++to) {
-    if (to != from && lan_.drop_wab_datagram()) continue;
-    // Best-effort datagrams on a cut or lossy link are simply gone — the
-    // oracle has no retransmission (and does not need one).
-    if (to != from && lan_.drop_best_effort(from, to)) continue;
-    const TimePoint arrival =
-        lan_.wab_arrival_time(tx_end) + lan_.best_effort_extra_delay_ms(from, to);
-    events_.at(arrival, [this, from, to, stage, body] {
-      run_on_node(to, [this, from, to, stage, body] {
-        const TimePoint handled = lan_.occupy_receiver_cpu(to, events_.now());
-        events_.at(handled, [this, from, to, stage, body] {
-          run_on_node(to, [this, from, to, stage, body] {
-            trace(TraceKind::kWabDeliver, to, from);
-            nodes_[to].protocol->on_w_deliver(stage, from, *body);
-          });
-        });
-      });
-    });
-  }
-}
-
-void ConsensusWorld::crash(ProcessId p) {
-  if (nodes_[p].crashed) return;
-  trace(TraceKind::kCrash, p);
-  nodes_[p].crashed = true;
-  if (nodes_[p].outcome.correct) {
-    nodes_[p].outcome.correct = false;
-    if (!nodes_[p].outcome.decided) --undecided_correct_;
-  }
-  fd_.on_crash(p);
 }
 
 void ConsensusWorld::record_decision(ProcessId p, const Value& v) {
-  Node& node = nodes_[p];
-  if (node.outcome.decided) {
+  ProcessOutcome& o = outcomes_[p];
+  if (o.decided) {
     // A restarted incarnation deciding differently from its pre-crash self
     // is an agreement violation across incarnations.
-    if (node.outcome.decision != v) reincarnation_conflict_ = true;
+    if (o.decision != v) reincarnation_conflict_ = true;
     return;
   }
-  node.outcome.decided = true;
-  node.outcome.decision = v;
-  trace(TraceKind::kDecide, p, kNoProcess, v);
-  node.outcome.steps = node.protocol->decision_steps();
-  node.outcome.path = node.protocol->decision_path();
-  node.outcome.decide_time = events_.now();
+  o.decided = true;
+  o.decision = v;
+  shell_.trace(TraceKind::kDecide, p, kNoProcess, v);
+  const consensus::Consensus& protocol = shell_.protocol(p);
+  o.steps = protocol.decision_steps();
+  o.path = protocol.decision_path();
+  o.decide_time = shell_.now();
   if (cfg_.metrics != nullptr) {
     // Decisions are rare; registering through the registry here (instead of
     // pre-registered handles) keeps the hot paths untouched.
-    const char* path =
-        node.outcome.path == consensus::DecisionPath::kRound ? "round"
-        : node.outcome.path == consensus::DecisionPath::kForwarded
-            ? "forwarded"
-            : "none";
+    const char* path = o.path == consensus::DecisionPath::kRound ? "round"
+                       : o.path == consensus::DecisionPath::kForwarded
+                           ? "forwarded"
+                           : "none";
     cfg_.metrics
         ->counter("zdc_sim_decisions_path_total",
                   {{"process", std::to_string(p)}, {"path", path}})
         .inc();
     cfg_.metrics->counter("zdc_sim_decision_steps_total",
                           obs::process_label(p))
-        .inc(node.outcome.steps);
+        .inc(o.steps);
     cfg_.metrics->histogram("zdc_sim_decision_latency_ms", {})
-        .observe(node.outcome.decide_time);
+        .observe(o.decide_time);
   }
-  if (node.outcome.correct) {
+  if (o.correct) {
     ZDC_ASSERT(undecided_correct_ > 0);
     --undecided_correct_;
   }
 }
 
-void ConsensusWorld::notify_fd_change(ProcessId p) {
-  run_on_node(p, [this, p] {
-    trace(TraceKind::kFdChange, p);
-    nodes_[p].protocol->on_fd_change();
-  });
-}
-
-void ConsensusWorld::restart(ProcessId p) {
-  Node& node = nodes_[p];
-  if (!node.crashed) return;
-  trace(TraceKind::kPropose, p, kNoProcess, "restart");
-  node.crashed = false;
-  fd_.on_restart(p);
-  // A fresh incarnation: new protocol object (the factory re-injects any
-  // durable state), original proposal re-proposed.
-  node.protocol = factory_(p, cfg_.group, *node.host, fd_.omega_view(p),
-                           fd_.suspect_view(p));
-  node.protocol->propose(cfg_.proposals[p]);
-}
-
-void ConsensusWorld::apply_fault(const fault::FaultAction& a) {
-  trace(TraceKind::kFault,
-        a.p < nodes_.size() ? a.p : kNoProcess, kNoProcess,
-        fault::to_string(a));
-  switch (a.kind) {
-    case fault::FaultKind::kCrash:
-      crash(a.p);
-      break;
-    case fault::FaultKind::kRestart:
-      restart(a.p);
-      break;
-    case fault::FaultKind::kPause:
-      fault::apply_to_policy(a, policy_);
-      fd_.on_pause(a.p);
-      break;
-    case fault::FaultKind::kResume:
-      fault::apply_to_policy(a, policy_);
-      fd_.on_resume(a.p);
-      release_paused(a.p);
-      break;
-    default:
-      // Link-table edits (partition/heal/isolate/link): apply, then re-inject
-      // any parked traffic whose link just re-opened.
-      fault::apply_to_policy(a, policy_);
-      release_unblocked();
-      break;
-  }
-}
-
-void ConsensusWorld::run_on_node(ProcessId p, std::function<void()> fn) {
-  if (nodes_[p].crashed) return;
-  if (policy_.paused(p)) {
-    paused_work_[p].push_back(std::move(fn));
-    return;
-  }
-  // Tag assertion failures inside the handler with (node, sim time) — every
-  // protocol invocation in this world funnels through here.
-  detail::AssertContextScope scope(p, events_.now());
-  fn();
-}
-
-void ConsensusWorld::release_unblocked() {
-  const std::uint32_t n = cfg_.group.n;
-  for (ProcessId from = 0; from < n; ++from) {
-    for (ProcessId to = 0; to < n; ++to) {
-      auto& parked = blocked_[static_cast<std::size_t>(from) * n + to];
-      if (parked.empty() || lan_.link_blocked(from, to)) continue;
-      // The stalled connection resumes: everything parked goes back on the
-      // wire now, in original send order.
-      std::vector<std::shared_ptr<const std::string>> batch;
-      batch.swap(parked);
-      for (const auto& bytes : batch) {
-        deliver_one(from, to, events_.now(), bytes);
-      }
-    }
-  }
-}
-
-void ConsensusWorld::release_paused(ProcessId p) {
-  if (paused_work_[p].empty()) return;
-  auto work = std::make_shared<std::vector<std::function<void()>>>(
-      std::move(paused_work_[p]));
-  paused_work_[p] = {};
-  events_.at(events_.now(), [this, p, work] {
-    for (auto& fn : *work) run_on_node(p, fn);
-  });
-}
-
-bool ConsensusWorld::all_correct_decided() const {
-  return undecided_correct_ == 0;
-}
-
 ConsensusRunResult ConsensusWorld::run() {
   ConsensusRunResult result;
-  std::uint64_t executed = 0;
-  while (executed < cfg_.event_limit && !events_.empty() &&
-         events_.now() <= cfg_.time_limit_ms) {
-    events_.run_next();
-    ++executed;
-    if (all_correct_decided()) break;
-  }
-  result.events_executed = executed;
-
-  result.outcomes.reserve(nodes_.size());
+  result.events_executed =
+      shell_.run(cfg_.time_limit_ms, cfg_.event_limit,
+                 [this] { return undecided_correct_ == 0; });
+  result.frames_corrupted = shell_.frames_corrupted();
+  result.equivocations = shell_.equivocations();
   bool first = true;
-  ProcessId metric_p = 0;
-  result.frames_corrupted = frames_corrupted_;
-  result.equivocations = equivocations_;
-  for (Node& node : nodes_) {
-    result.totals += node.protocol->metrics();
-    result.corrupt_frames_dropped += node.protocol->corrupt_frames_dropped();
+  for (ProcessId p = 0; p < shell_.size(); ++p) {
+    const consensus::Consensus& protocol = shell_.protocol(p);
+    result.totals += protocol.metrics();
+    result.corrupt_frames_dropped += protocol.corrupt_frames_dropped();
     if (cfg_.metrics != nullptr) {
-      cfg_.metrics
-          ->counter("zdc_sim_rounds_total", obs::process_label(metric_p))
-          .inc(node.protocol->metrics().rounds_started);
+      cfg_.metrics->counter("zdc_sim_rounds_total", obs::process_label(p))
+          .inc(protocol.metrics().rounds_started);
     }
-    ++metric_p;
-    result.outcomes.push_back(node.outcome);
-    const ProcessOutcome& o = node.outcome;
+    const ProcessOutcome& o = outcomes_[p];
     if (o.decided) {
       if (first || o.decide_time < result.first_decision_time) {
         result.first_decision_time = o.decide_time;
@@ -513,6 +155,7 @@ ConsensusRunResult ConsensusWorld::run() {
       }
     }
   }
+  result.outcomes = outcomes_;
 
   // Agreement across every process that decided (crashed ones included).
   const Value* seen = nullptr;
@@ -526,8 +169,28 @@ ConsensusRunResult ConsensusWorld::run() {
   }
 
   if (reincarnation_conflict_) result.agreement_ok = false;
-  result.all_correct_decided = all_correct_decided();
+  result.all_correct_decided = undecided_correct_ == 0;
   return result;
+}
+
+/// The inner module Brasileiro's and Lamport's (e, f) consensus run on:
+/// "paxos" or (anything else) L-Consensus, both over Ω. The view is owned by
+/// the harness and outlives the protocol; the closure captures a pointer
+/// (capturing the reference parameter would dangle once the outer factory
+/// call returns).
+consensus::ConsensusFactory inner_factory(const std::string& underlying,
+                                          const fd::OmegaView& omega) {
+  const fd::OmegaView* omega_ptr = &omega;
+  if (underlying == "paxos") {
+    return [omega_ptr](ProcessId s, GroupParams g,
+                       consensus::ConsensusHost& h) {
+      return std::make_unique<consensus::PaxosConsensus>(s, g, h, *omega_ptr);
+    };
+  }
+  return [omega_ptr](ProcessId s, GroupParams g,
+                     consensus::ConsensusHost& h) {
+    return std::make_unique<consensus::LConsensus>(s, g, h, *omega_ptr);
+  };
 }
 
 }  // namespace
@@ -556,26 +219,9 @@ SimConsensusFactory paxos_factory() {
 SimConsensusFactory brasileiro_factory(const std::string& underlying) {
   return [underlying](ProcessId self, GroupParams group,
                       consensus::ConsensusHost& host, const fd::OmegaView& omega,
-                      const fd::SuspectView& suspects) {
-    // The views are owned by the world and outlive the protocol; capture a
-    // pointer (capturing the reference parameter would dangle once this outer
-    // factory call returns).
-    const fd::OmegaView* omega_ptr = &omega;
-    consensus::ConsensusFactory inner;
-    if (underlying == "paxos") {
-      inner = [omega_ptr](ProcessId s, GroupParams g,
-                          consensus::ConsensusHost& h) {
-        return std::make_unique<consensus::PaxosConsensus>(s, g, h, *omega_ptr);
-      };
-    } else {
-      inner = [omega_ptr](ProcessId s, GroupParams g,
-                          consensus::ConsensusHost& h) {
-        return std::make_unique<consensus::LConsensus>(s, g, h, *omega_ptr);
-      };
-    }
-    (void)suspects;
-    return std::make_unique<consensus::BrasileiroConsensus>(self, group, host,
-                                                            std::move(inner));
+                      const fd::SuspectView&) {
+    return std::make_unique<consensus::BrasileiroConsensus>(
+        self, group, host, inner_factory(underlying, omega));
   };
 }
 
@@ -583,24 +229,9 @@ SimConsensusFactory ef_consensus_factory(std::uint32_t e,
                                          const std::string& underlying) {
   return [e, underlying](ProcessId self, GroupParams group,
                          consensus::ConsensusHost& host,
-                         const fd::OmegaView& omega,
-                         const fd::SuspectView& suspects) {
-    (void)suspects;
-    const fd::OmegaView* omega_ptr = &omega;
-    consensus::ConsensusFactory inner;
-    if (underlying == "paxos") {
-      inner = [omega_ptr](ProcessId s, GroupParams g,
-                          consensus::ConsensusHost& h) {
-        return std::make_unique<consensus::PaxosConsensus>(s, g, h, *omega_ptr);
-      };
-    } else {
-      inner = [omega_ptr](ProcessId s, GroupParams g,
-                          consensus::ConsensusHost& h) {
-        return std::make_unique<consensus::LConsensus>(s, g, h, *omega_ptr);
-      };
-    }
-    return std::make_unique<consensus::EfConsensus>(self, group, e, host,
-                                                    std::move(inner));
+                         const fd::OmegaView& omega, const fd::SuspectView&) {
+    return std::make_unique<consensus::EfConsensus>(
+        self, group, e, host, inner_factory(underlying, omega));
   };
 }
 

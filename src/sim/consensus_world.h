@@ -1,50 +1,25 @@
 // Deterministic single-instance consensus harness.
 //
-// Builds n protocol instances over the LAN model and a simulated failure
-// detector, injects proposals and crashes, runs the event queue to quiescence
-// and checks the consensus properties. Used by the protocol test-suites
+// Builds n protocol instances on the simulated process shell
+// (sim/process_shell.h: LAN model, simulated failure detector, crashes and
+// the nemesis plan), injects proposals, runs to quiescence and checks the
+// consensus properties. Used by the protocol test-suites
 // (hundreds of randomized schedules per protocol) and by the step-count
 // benches (one-step / zero-degradation experiments).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "consensus/consensus.h"
 #include "fault/fault_plan.h"
-#include "fd/failure_detector.h"
 #include "obs/run_options.h"
-#include "sim/fd_sim.h"
-#include "sim/lan_model.h"
-#include "sim/trace.h"
+#include "sim/process_shell.h"
 
 namespace zdc::sim {
-
-/// Crash injection for one process.
-struct CrashSpec {
-  ProcessId p = 0;
-  /// Crash instant; 0 with initial=true means dead before the run starts.
-  TimePoint time = 0.0;
-  bool initial = false;
-  /// If nonzero, instead of crashing at `time`, the process executes until its
-  /// k-th broadcast (1-based), which is delivered only to `partial_targets`,
-  /// and crashes immediately afterwards — the adversarial mid-broadcast crash
-  /// the agreement proofs must survive.
-  std::uint32_t truncate_broadcast_index = 0;
-  std::vector<ProcessId> partial_targets;
-  /// Crash-recovery model: if >= 0, the process restarts at this time — a
-  /// fresh protocol instance is built through the factory (same host, same
-  /// FD views, and crucially the same StableStorage if the factory injects
-  /// one) and re-proposes. Use with FdMode::kStable (the simulated FDs have
-  /// no un-suspect path; crash-recovery failure detection is its own topic).
-  double restart_time = -1.0;
-};
 
 /// Inherits the shared group/net/fd/seed block plus the observability hooks
 /// (metrics registry, trace recorder) from zdc::RunOptions — see
@@ -96,11 +71,6 @@ struct ConsensusRunResult {
 
   [[nodiscard]] bool safe() const { return agreement_ok && validity_ok; }
 };
-
-/// Builds a protocol instance for one process. The views outlive the protocol.
-using SimConsensusFactory = std::function<std::unique_ptr<consensus::Consensus>(
-    ProcessId self, GroupParams group, consensus::ConsensusHost& host,
-    const fd::OmegaView& omega, const fd::SuspectView& suspects)>;
 
 /// Canned factories for the four protocol families.
 SimConsensusFactory l_consensus_factory();

@@ -8,14 +8,14 @@
 #include <string>
 
 #include "abcast/c_abcast.h"
-#include "direct_abcast_harness.h"
+#include "check/direct_net.h"
 
 namespace zdc::testing {
 namespace {
 
 constexpr GroupParams kGroup{4, 1};
 
-DirectAbcastNet::Factory c_abcast_l_factory() {
+sim::SimAbcastFactory c_abcast_l_factory() {
   return [](ProcessId self, GroupParams group, abcast::AbcastHost& host,
             const fd::OmegaView& omega, const fd::SuspectView&) {
     return abcast::make_c_abcast_l(self, group, host, omega);
@@ -27,7 +27,7 @@ abcast::CAbcast& as_cabcast(abcast::AtomicBroadcast& p) {
 }
 
 TEST(CAbcastUnit, IdleUntilFirstBroadcast) {
-  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  check::AbcastNet net(kGroup, c_abcast_l_factory());
   // Nothing a-broadcast: nobody w-broadcasts, nobody sends (lines 14-15).
   for (ProcessId p = 0; p < 4; ++p) {
     EXPECT_EQ(net.pending_wab(p), 0u);
@@ -36,7 +36,7 @@ TEST(CAbcastUnit, IdleUntilFirstBroadcast) {
 }
 
 TEST(CAbcastUnit, SingleMessageFlowsThroughOneRound) {
-  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  check::AbcastNet net(kGroup, c_abcast_l_factory());
   const abcast::MsgId id = net.a_broadcast(2, "hello");
   // p2 w-broadcast its estimate for round 1.
   EXPECT_EQ(net.pending_wab(2), 1u);
@@ -51,7 +51,7 @@ TEST(CAbcastUnit, SingleMessageFlowsThroughOneRound) {
 }
 
 TEST(CAbcastUnit, WokenProcessesParticipateWithEmptyEstimates) {
-  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  check::AbcastNet net(kGroup, c_abcast_l_factory());
   net.a_broadcast(0, "m");
   // Deliver only p0's w-broadcast; the idle processes wake (line 15) and
   // w-broadcast their empty estimates to participate in round 1.
@@ -66,7 +66,7 @@ TEST(CAbcastUnit, WokenProcessesParticipateWithEmptyEstimates) {
 }
 
 TEST(CAbcastUnit, ConcurrentBroadcastsAllDelivered) {
-  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  check::AbcastNet net(kGroup, c_abcast_l_factory());
   std::vector<abcast::MsgId> ids;
   for (ProcessId p = 0; p < 4; ++p) {
     ids.push_back(net.a_broadcast(p, "from-" + std::to_string(p)));
@@ -86,7 +86,7 @@ TEST(CAbcastUnit, ConcurrentBroadcastsAllDelivered) {
 }
 
 TEST(CAbcastUnit, BatchesAccumulateWhileRoundRuns) {
-  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  check::AbcastNet net(kGroup, c_abcast_l_factory());
   net.a_broadcast(0, "first");
   // While round 1 is still undelivered, more messages pile up at p0 and p1.
   net.a_broadcast(0, "second");
@@ -99,7 +99,7 @@ TEST(CAbcastUnit, BatchesAccumulateWhileRoundRuns) {
 }
 
 TEST(CAbcastUnit, OracleCollisionStillDeliversConsistently) {
-  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  check::AbcastNet net(kGroup, c_abcast_l_factory());
   net.set_leader_everywhere(0);
   const abcast::MsgId a = net.a_broadcast(0, "a");
   const abcast::MsgId b = net.a_broadcast(3, "b");
@@ -121,7 +121,7 @@ TEST(CAbcastUnit, OracleCollisionStillDeliversConsistently) {
 }
 
 TEST(CAbcastUnit, LaggardCatchesUpThroughFloodedDecisions) {
-  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  check::AbcastNet net(kGroup, c_abcast_l_factory());
   // Cut p3 off from everything except eventually re-delivered traffic: run
   // two rounds among p0..p2 while p3 receives nothing.
   const abcast::MsgId m1 = net.a_broadcast(0, "one");
@@ -153,7 +153,7 @@ TEST(CAbcastUnit, LaggardCatchesUpThroughFloodedDecisions) {
 }
 
 TEST(CAbcastUnit, ManyRoundsAdvanceAndPruneInstances) {
-  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  check::AbcastNet net(kGroup, c_abcast_l_factory());
   for (int round = 0; round < 12; ++round) {
     net.a_broadcast(static_cast<ProcessId>(round % 4),
                     "m" + std::to_string(round));
@@ -174,7 +174,7 @@ TEST(CAbcastUnit, ManyRoundsAdvanceAndPruneInstances) {
 }
 
 TEST(CAbcastUnit, MalformedTransportAndOracleInputIgnored) {
-  DirectAbcastNet net(kGroup, c_abcast_l_factory());
+  check::AbcastNet net(kGroup, c_abcast_l_factory());
   net.protocol(0).on_message(1, "");
   net.protocol(0).on_message(1, "x");
   net.protocol(0).on_w_deliver(1 << 20, 1, "not-a-msgset");

@@ -709,6 +709,134 @@ TEST(AbcastSystem, SwarmKeepsUniformTotalOrder) {
   EXPECT_GT(res.transitions, 0u);
 }
 
+// --- pinned search totals ---
+//
+// The replay fixtures are short traces; they cannot show that enabled()
+// still lists the same choices in the same order. A bounded DFS's exact
+// transition, path and cutoff counts can, because the sleep sets and the
+// backtracking both follow that order. Re-pin only for an understood change
+// to the choice model.
+
+struct DfsPin {
+  const char* name;
+  ScenarioSpec spec;
+  AdversaryBudgets budgets;
+  std::uint32_t max_depth;
+  std::uint64_t transitions;
+  std::uint64_t paths;
+  std::uint64_t depth_cutoffs;
+};
+
+ScenarioSpec abcast_spec(std::string protocol, std::uint32_t n,
+                         std::vector<std::pair<ProcessId, std::string>> subs) {
+  ScenarioSpec spec;
+  spec.kind = "abcast";
+  spec.protocol = std::move(protocol);
+  spec.group = GroupParams{n, 1};
+  spec.submissions = std::move(subs);
+  return spec;
+}
+
+std::vector<DfsPin> dfs_pins() {
+  AdversaryBudgets lb;
+  lb.crashes = 1;
+  lb.leader_flips = 1;
+  lb.equivocations = 1;
+  AdversaryBudgets pb;
+  pb.crashes = 1;
+  pb.suspect_flips = 1;
+  pb.flips = 1;
+  AdversaryBudgets paxos = lb;
+  paxos.flips = 1;
+  AdversaryBudgets rec;
+  rec.crash_restarts = 1;
+  rec.flips = 1;
+  rec.leader_flips = 1;
+  AdversaryBudgets wab;
+  wab.oracle_subsets = true;
+  wab.crashes = 1;
+  AdversaryBudgets ab;
+  ab.crashes = 1;
+  ab.leader_flips = 1;
+  ab.suspect_flips = 1;
+  ab.oracle_subsets = true;
+  return {
+      {"l", consensus_spec("l", {"a", "b", "b", "a"}), lb, 3, 47496, 15836,
+       15344},
+      {"p", consensus_spec("p", {"a", "b", "b", "a"}), pb, 3, 112104, 37372,
+       36400},
+      {"paxos", consensus_spec("paxos", {"a", "b", "c"}), paxos, 4, 90256,
+       22588, 21312},
+      {"rec-paxos", consensus_spec("rec-paxos", {"a", "b", "c"}), rec, 4,
+       140498, 35167, 33989},
+      {"wab", consensus_spec("wab", {"a", "b", "b", "a"}), wab, 4, 41156,
+       10468, 6496},
+      {"abcast c-l", abcast_spec("c-l", 4, {{0, "x"}, {1, "y"}}), ab, 3,
+       14592, 4868, 4406},
+      {"abcast paxos", abcast_spec("paxos", 3, {{1, "x"}, {2, "y"}}), ab, 5,
+       35474, 7202, 5652},
+  };
+}
+
+TEST(Pinned, BoundedDfsTotalsUnchanged) {
+  for (const DfsPin& pin : dfs_pins()) {
+    ExploreConfig cfg;
+    cfg.max_depth = pin.max_depth;
+    const auto res = explore(make_system_factory(pin.spec, pin.budgets), cfg);
+    EXPECT_TRUE(res.complete) << pin.name;
+    EXPECT_FALSE(res.violation.has_value()) << pin.name;
+    EXPECT_EQ(res.transitions, pin.transitions) << pin.name;
+    EXPECT_EQ(res.paths, pin.paths) << pin.name;
+    EXPECT_EQ(res.depth_cutoffs, pin.depth_cutoffs) << pin.name;
+  }
+}
+
+TEST(Pinned, FailingSwarmRunsUnchanged) {
+  // Seeded mutants under budgeted swarms: which run fails first, how many
+  // transitions it took to get there, and the exact schedule. Every step
+  // draws from enabled(), so these pin the choice order as well.
+  ScenarioSpec p_spec = p_mutant().spec;
+  AdversaryBudgets p_budgets;
+  p_budgets.crashes = 1;
+  p_budgets.suspect_flips = 1;
+  p_budgets.leader_flips = 1;
+  AdversaryBudgets paxos_budgets;
+  paxos_budgets.crashes = 1;
+  ScenarioSpec ab_spec = abcast_spec("paxos", 3, {{0, "alpha"}, {1, "beta"}});
+  ab_spec.mutant = "equivocating-sender";
+  AdversaryBudgets ab_budgets;
+  ab_budgets.leader_flips = 1;
+  const struct {
+    ScenarioSpec spec;
+    AdversaryBudgets budgets;
+    std::uint64_t seed;
+    const char* invariant;
+    std::uint32_t failing_run;
+    std::uint64_t transitions;
+    const char* trace;
+  } pins[] = {
+      {p_spec, p_budgets, 3, "agreement", 3, 51,
+       "l0-1 f0-2 d2-0 d3-2 d1-3 d0-3 c3 d1-0 d3-1 d1-2 d2-2 d0-1 d0-0"},
+      {paxos_mutant().spec, paxos_budgets, 1, "agreement", 98, 1933,
+       "d2-2 d0-1 d1-2 d0-2 d0-0 d2-2 d1-0 d0-0 c0 d2-1 d1-2 d1-1 d2-1 d2-2 "
+       "d2-2 d2-1 d1-1"},
+      {ab_spec, ab_budgets, 4, "total-order", 9, 79,
+       "l1-2 u0 d0-2 d2-2 d0-1 d1-0 d2-1 d0-0 d2-0 d0-0 d1-1"},
+  };
+  for (const auto& pin : pins) {
+    SwarmConfig cfg;
+    cfg.seed = pin.seed;
+    cfg.runs = 512;
+    cfg.max_steps = 200;
+    const auto res = swarm(make_system_factory(pin.spec, pin.budgets), cfg);
+    ASSERT_TRUE(res.violation.has_value()) << pin.spec.mutant;
+    EXPECT_EQ(res.violation->invariant, pin.invariant) << pin.spec.mutant;
+    EXPECT_EQ(res.failing_run, pin.failing_run) << pin.spec.mutant;
+    EXPECT_EQ(res.transitions, pin.transitions) << pin.spec.mutant;
+    EXPECT_EQ(format_trace(res.trace), pin.trace) << pin.spec.mutant;
+  }
+}
+
 // --- committed golden fixtures ---
 
 std::string read_file(const std::string& path) {

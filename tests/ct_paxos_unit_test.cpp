@@ -5,16 +5,16 @@
 #include <memory>
 #include <string>
 
+#include "check/direct_net.h"
 #include "consensus/chandra_toueg.h"
 #include "consensus/paxos.h"
-#include "direct_harness.h"
 
 namespace zdc::testing {
 namespace {
 
 constexpr GroupParams kGroup{4, 1};
 
-DirectNet::Factory ct_factory() {
+sim::SimConsensusFactory ct_factory() {
   return [](ProcessId self, GroupParams group, consensus::ConsensusHost& host,
             const fd::OmegaView&, const fd::SuspectView& suspects) {
     return std::make_unique<consensus::CtConsensus>(self, group, host,
@@ -22,7 +22,7 @@ DirectNet::Factory ct_factory() {
   };
 }
 
-DirectNet::Factory paxos_factory() {
+sim::SimConsensusFactory paxos_factory() {
   return [](ProcessId self, GroupParams group, consensus::ConsensusHost& host,
             const fd::OmegaView& omega, const fd::SuspectView&) {
     return std::make_unique<consensus::PaxosConsensus>(self, group, host,
@@ -33,7 +33,7 @@ DirectNet::Factory paxos_factory() {
 // --- Chandra-Toueg phases ---
 
 TEST(CtUnit, CoordinatorWaitsForMajorityEstimates) {
-  DirectNet net(kGroup, ct_factory());
+  check::ConsensusNet net(kGroup, ct_factory());
   for (ProcessId p = 0; p < 4; ++p) net.propose(p, "v" + std::to_string(p));
   // Round-1 coordinator is p0. One estimate (its own) is not a majority.
   net.deliver_edge(0, 0);
@@ -50,7 +50,7 @@ TEST(CtUnit, CoordinatorWaitsForMajorityEstimates) {
 }
 
 TEST(CtUnit, CoordinatorPicksHighestTimestampEstimate) {
-  DirectNet net(kGroup, ct_factory());
+  check::ConsensusNet net(kGroup, ct_factory());
   for (ProcessId p = 0; p < 4; ++p) net.propose(p, "v" + std::to_string(p));
   // Round 1 dies with its coordinator before proposing anything.
   net.crash(0);
@@ -85,7 +85,7 @@ TEST(CtUnit, CoordinatorPicksHighestTimestampEstimate) {
 }
 
 TEST(CtUnit, NackAdvancesRoundWithoutCoordinator) {
-  DirectNet net(kGroup, ct_factory());
+  check::ConsensusNet net(kGroup, ct_factory());
   for (ProcessId p = 0; p < 4; ++p) net.propose(p, "w");
   net.crash(0);  // round-1 coordinator dead, its outbound traffic lost
   net.drop_edge(0, 1);
@@ -103,7 +103,7 @@ TEST(CtUnit, NackAdvancesRoundWithoutCoordinator) {
 }
 
 TEST(CtUnit, MalformedMessagesCounted) {
-  DirectNet net(kGroup, ct_factory());
+  check::ConsensusNet net(kGroup, ct_factory());
   net.propose(1, "v");
   auto& proto = net.protocol(1);
   proto.on_message(0, common::seal_frame(""));
@@ -115,7 +115,7 @@ TEST(CtUnit, MalformedMessagesCounted) {
 // --- Single-decree Paxos mechanics ---
 
 TEST(PaxosUnit, BallotZeroSkipsPhaseOne) {
-  DirectNet net(kGroup, paxos_factory());
+  check::ConsensusNet net(kGroup, paxos_factory());
   net.set_leader_everywhere(0);
   net.propose(0, "val");
   net.propose(1, "other1");
@@ -140,7 +140,7 @@ TEST(PaxosUnit, BallotZeroSkipsPhaseOne) {
 }
 
 TEST(PaxosUnit, NonZeroLeaderRunsPhaseOne) {
-  DirectNet net(kGroup, paxos_factory());
+  check::ConsensusNet net(kGroup, paxos_factory());
   net.set_leader_everywhere(2);
   for (ProcessId p = 0; p < 4; ++p) net.propose(p, "x" + std::to_string(p));
   net.deliver_all();
@@ -153,7 +153,7 @@ TEST(PaxosUnit, NonZeroLeaderRunsPhaseOne) {
 }
 
 TEST(PaxosUnit, HigherBallotAdoptsAcceptedValue) {
-  DirectNet net(kGroup, paxos_factory());
+  check::ConsensusNet net(kGroup, paxos_factory());
   net.set_leader_everywhere(0);
   net.propose(0, "first");
   net.propose(1, "second");
@@ -178,7 +178,7 @@ TEST(PaxosUnit, HigherBallotAdoptsAcceptedValue) {
 }
 
 TEST(PaxosUnit, StaleBallotGetsNackedAndRetries) {
-  DirectNet net(kGroup, paxos_factory());
+  check::ConsensusNet net(kGroup, paxos_factory());
   // p2 leads first: establishes ballot 2 promises everywhere.
   net.set_leader_everywhere(2);
   for (ProcessId p = 0; p < 4; ++p) net.propose(p, "y" + std::to_string(p));
@@ -188,7 +188,7 @@ TEST(PaxosUnit, StaleBallotGetsNackedAndRetries) {
 }
 
 TEST(PaxosUnit, MalformedMessagesCounted) {
-  DirectNet net(kGroup, paxos_factory());
+  check::ConsensusNet net(kGroup, paxos_factory());
   net.propose(0, "v");
   auto& proto = net.protocol(0);
   proto.on_message(1, common::seal_frame(std::string("\x03\x01", 2)));  // truncated 2a

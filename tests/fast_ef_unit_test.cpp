@@ -5,17 +5,17 @@
 #include <memory>
 #include <string>
 
+#include "check/direct_net.h"
 #include "consensus/ef_consensus.h"
 #include "consensus/fast_paxos.h"
 #include "consensus/l_consensus.h"
-#include "direct_harness.h"
 
 namespace zdc::testing {
 namespace {
 
 constexpr GroupParams kGroup{4, 1};
 
-DirectNet::Factory fast_paxos_factory() {
+sim::SimConsensusFactory fast_paxos_factory() {
   return [](ProcessId self, GroupParams group, consensus::ConsensusHost& host,
             const fd::OmegaView& omega, const fd::SuspectView&) {
     return std::make_unique<consensus::FastPaxosConsensus>(self, group, host,
@@ -23,7 +23,7 @@ DirectNet::Factory fast_paxos_factory() {
   };
 }
 
-DirectNet::Factory ef_factory(std::uint32_t e) {
+sim::SimConsensusFactory ef_factory(std::uint32_t e) {
   return [e](ProcessId self, GroupParams group, consensus::ConsensusHost& host,
              const fd::OmegaView& omega, const fd::SuspectView&) {
     const fd::OmegaView* omega_ptr = &omega;
@@ -39,7 +39,7 @@ DirectNet::Factory ef_factory(std::uint32_t e) {
 // --- Fast Paxos mechanics ---
 
 TEST(FastPaxosUnit, FastDecisionNeedsNoLeaderInvolvement) {
-  DirectNet net(kGroup, fast_paxos_factory());
+  check::ConsensusNet net(kGroup, fast_paxos_factory());
   net.set_leader_everywhere(3);  // the leader never even gets a message
   for (ProcessId p = 0; p < 4; ++p) net.propose(p, "v");
   // p1 collects three equal round-0 votes: decides, one step.
@@ -52,7 +52,7 @@ TEST(FastPaxosUnit, FastDecisionNeedsNoLeaderInvolvement) {
 }
 
 TEST(FastPaxosUnit, CoordinatedRecoveryUsesRoundZeroVotesAsPhaseOne) {
-  DirectNet net(kGroup, fast_paxos_factory());
+  check::ConsensusNet net(kGroup, fast_paxos_factory());
   net.set_leader_everywhere(0);
   net.propose(0, "a");
   net.propose(1, "b");
@@ -74,7 +74,7 @@ TEST(FastPaxosUnit, CoordinatedRecoveryUsesRoundZeroVotesAsPhaseOne) {
 }
 
 TEST(FastPaxosUnit, RecoveryPickIsForcedByAPossibleFastDecision) {
-  DirectNet net(kGroup, fast_paxos_factory());
+  check::ConsensusNet net(kGroup, fast_paxos_factory());
   net.set_leader_everywhere(3);
   // Globally three "x" votes exist: some learner may fast-decide "x", so any
   // recovery coordinator must pick "x" no matter its own proposal.
@@ -101,7 +101,7 @@ TEST(FastPaxosUnit, RecoveryPickIsForcedByAPossibleFastDecision) {
 }
 
 TEST(FastPaxosUnit, MalformedMessagesCounted) {
-  DirectNet net(kGroup, fast_paxos_factory());
+  check::ConsensusNet net(kGroup, fast_paxos_factory());
   net.propose(0, "v");
   auto& proto = net.protocol(0);
   proto.on_message(1, common::seal_frame(""));
@@ -117,7 +117,7 @@ TEST(EfUnit, ArmedFastPathFiresLate) {
   // its fallback at the 5th vote but must still decide fast when the 4th
   // equal value shows up in a later message.
   const GroupParams group{6, 1};
-  DirectNet net(group, ef_factory(2));
+  check::ConsensusNet net(group, ef_factory(2));
   net.set_leader_everywhere(0);
   net.propose(0, "w");
   net.propose(1, "w");
@@ -149,7 +149,7 @@ TEST(EfUnit, FallbackProposalIsForcedByPossibleFastDecision) {
   // n=4, e=1, f=1 (Brasileiro's point): fast threshold 3. p3 commits its
   // fallback from quorum {v, v, u}: v holds n−e−f = 2 slots, so the inner
   // proposal must be v even though p3 proposed u.
-  DirectNet net(kGroup, ef_factory(1));
+  check::ConsensusNet net(kGroup, ef_factory(1));
   net.set_leader_everywhere(0);
   net.propose(0, "v");
   net.propose(1, "v");
@@ -167,7 +167,7 @@ TEST(EfUnit, FallbackProposalIsForcedByPossibleFastDecision) {
 }
 
 TEST(EfUnit, InnerTrafficBufferedUntilFallbackCommits) {
-  DirectNet net(kGroup, ef_factory(1));
+  check::ConsensusNet net(kGroup, ef_factory(1));
   net.set_leader_everywhere(0);
   net.propose(0, "a");
   // An inner-module frame arrives before p0's first round closed: it must be

@@ -11,10 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "check/direct_net.h"
 #include "check/invariants.h"
 #include "common/rng.h"
-#include "direct_abcast_harness.h"
-#include "direct_harness.h"
 
 #include "abcast/c_abcast.h"
 #include "abcast/paxos_abcast.h"
@@ -41,7 +40,7 @@ std::string random_bytes(common::Rng& rng, std::size_t max_len) {
   return out;
 }
 
-std::vector<DirectNet::Factory> consensus_factories() {
+std::vector<sim::SimConsensusFactory> consensus_factories() {
   return {
       [](ProcessId s, GroupParams g, consensus::ConsensusHost& h,
          const fd::OmegaView& o, const fd::SuspectView&) {
@@ -79,7 +78,7 @@ std::vector<DirectNet::Factory> consensus_factories() {
 TEST(Fuzz, ConsensusProtocolsSurviveGarbageAndStillDecide) {
   common::Rng rng(0xf22);
   for (const auto& factory : consensus_factories()) {
-    DirectNet net(kGroup, factory);
+    check::ConsensusNet net(kGroup, factory);
     net.propose(0, "v");
     // 500 random messages from random (valid) senders before real traffic.
     for (int i = 0; i < 500; ++i) {
@@ -91,7 +90,7 @@ TEST(Fuzz, ConsensusProtocolsSurviveGarbageAndStillDecide) {
     for (ProcessId p = 1; p < 4; ++p) net.propose(p, "v");
     net.deliver_all();
     for (ProcessId p = 0; p < 4; ++p) {
-      while (net.deliver_wab_broadcast(p)) {
+      while (net.deliver_wab(p)) {
       }
     }
     net.deliver_all();
@@ -102,7 +101,7 @@ TEST(Fuzz, ConsensusProtocolsSurviveGarbageAndStillDecide) {
 
 TEST(Fuzz, AbcastProtocolsSurviveGarbage) {
   common::Rng rng(0xabcd);
-  const std::vector<DirectAbcastNet::Factory> factories = {
+  const std::vector<sim::SimAbcastFactory> factories = {
       [](ProcessId s, GroupParams g, abcast::AbcastHost& h,
          const fd::OmegaView& o, const fd::SuspectView&) {
         return std::unique_ptr<abcast::AtomicBroadcast>(
@@ -115,7 +114,7 @@ TEST(Fuzz, AbcastProtocolsSurviveGarbage) {
       },
   };
   for (const auto& factory : factories) {
-    DirectAbcastNet net(kGroup, factory);
+    check::AbcastNet net(kGroup, factory);
     for (int i = 0; i < 500; ++i) {
       net.protocol(0).on_message(
           static_cast<ProcessId>(rng.next_below(kGroup.n)),
@@ -130,7 +129,7 @@ TEST(Fuzz, AbcastProtocolsSurviveGarbage) {
 }
 
 TEST(Fuzz, BrasileiroInnerWrappingSurvivesGarbage) {
-  DirectNet net(kGroup, [](ProcessId s, GroupParams g,
+  check::ConsensusNet net(kGroup, [](ProcessId s, GroupParams g,
                            consensus::ConsensusHost& h, const fd::OmegaView& o,
                            const fd::SuspectView&) {
     const fd::OmegaView* op = &o;
@@ -184,7 +183,7 @@ class BrokenAbcast final : public abcast::AtomicBroadcast {
 };
 
 TEST(HarnessSelfTest, TotalOrderCheckerCatchesBrokenProtocol) {
-  DirectAbcastNet net(kGroup, [](ProcessId s, GroupParams g,
+  check::AbcastNet net(kGroup, [](ProcessId s, GroupParams g,
                                  abcast::AbcastHost& h, const fd::OmegaView&,
                                  const fd::SuspectView&) {
     return std::unique_ptr<abcast::AtomicBroadcast>(

@@ -19,7 +19,10 @@
 #include <string>
 
 #include "fault/nemesis.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 #include "sim/abcast_world.h"
+#include "sim/consensus_world.h"
 #include "sim/trace.h"
 
 namespace zdc::sim {
@@ -136,6 +139,211 @@ TEST(GoldenTrace, BatchedCAbcastIsDeterministic) {
   run_twice(cfg, "c-l", &a, &b);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b) << "C-Abcast batch cap broke seed determinism";
+}
+
+// --- Fault-path pins ---
+//
+// The kGolden rows all run a stable FD with no faults, so they never reach
+// crash, pause, partition, restart, corruption or broadcast truncation.
+// These rows do. Each fingerprint hashes the structured trace, the run
+// result and the metrics export, so the event ordering, the bookkeeping and
+// the per-event counters are pinned together.
+
+void append(std::string* out, const char* fmt, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), fmt, v);
+  *out += buf;
+}
+
+std::string serialize(const common::ProtocolMetrics& m) {
+  return std::to_string(m.messages_sent) + "," + std::to_string(m.bytes_sent) +
+         "," + std::to_string(m.rounds_started) + "," +
+         std::to_string(m.decisions) + "," + std::to_string(m.wasted_rounds);
+}
+
+std::string serialize(const common::Sampler& s) {
+  std::string out = std::to_string(s.count());
+  for (double v : {s.mean(), s.percentile(50), s.percentile(99), s.max()}) {
+    append(&out, "|%.9f", v);
+  }
+  return out;
+}
+
+std::string serialize(const ConsensusRunResult& r) {
+  std::string out;
+  for (const ProcessOutcome& o : r.outcomes) {
+    out += std::to_string(o.correct) + std::to_string(o.decided) + "|" +
+           o.decision + "|" + std::to_string(o.steps) + "|" +
+           std::to_string(static_cast<int>(o.path));
+    append(&out, "|%.9f\n", o.decide_time);
+  }
+  out += serialize(r.totals) + "|" + std::to_string(r.all_correct_decided) +
+         std::to_string(r.agreement_ok) + std::to_string(r.validity_ok);
+  append(&out, "|%.9f", r.first_decision_time);
+  append(&out, "|%.9f|", r.last_decision_time);
+  out += std::to_string(r.events_executed) + "|" +
+         std::to_string(r.frames_corrupted) + "|" +
+         std::to_string(r.equivocations) + "|" +
+         std::to_string(r.corrupt_frames_dropped) + "\n";
+  return out;
+}
+
+std::string serialize(const AbcastRunResult& r) {
+  std::string out = serialize(r.latency_ms) + "\n" +
+                    serialize(r.sender_latency_ms) + "\n" +
+                    std::to_string(r.total_order_ok) +
+                    std::to_string(r.agreement_ok) +
+                    std::to_string(r.integrity_ok) + "|" +
+                    std::to_string(r.undelivered) + "|" +
+                    std::to_string(r.totals.a_broadcasts) + "," +
+                    std::to_string(r.totals.a_deliveries) + "," +
+                    std::to_string(r.totals.w_broadcasts) + "," +
+                    std::to_string(r.totals.consensus_instances) + "," +
+                    serialize(r.totals.transport) + "|" +
+                    std::to_string(r.delivered_unique);
+  append(&out, "|%.9f|", r.duration_ms);
+  out += std::to_string(r.events_executed) + "\n";
+  for (const auto& history : r.histories) {
+    for (const abcast::MsgId& id : history) {
+      out += std::to_string(id.sender) + "/" + std::to_string(id.seq) + " ";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+fault::FaultPlan plan(const std::string& text) {
+  fault::FaultPlan p;
+  std::string error;
+  EXPECT_TRUE(fault::parse_fault_plan(text, &p, &error)) << error;
+  return p;
+}
+
+struct FaultPin {
+  const char* name;
+  std::size_t events;
+  std::uint64_t hash;
+};
+
+/// Runs one consensus pin and checks its trace length and fingerprint.
+void expect_consensus_pin(ConsensusRunConfig cfg, const std::string& protocol,
+                          const FaultPin& pin) {
+  TraceRecorder trace;
+  obs::MetricsRegistry registry;
+  cfg.trace = &trace;
+  cfg.metrics = &registry;
+  const auto r = run_consensus(cfg, consensus_factory_by_name(protocol));
+  EXPECT_TRUE(r.safe()) << pin.name;
+  EXPECT_EQ(trace.events().size(), pin.events) << pin.name;
+  const std::uint64_t hash = fnv1a(serialize(trace) + serialize(r) +
+                                   obs::to_json(registry.snapshot()));
+  EXPECT_EQ(hash, pin.hash) << pin.name << ": 0x" << std::hex << hash;
+}
+
+void expect_abcast_pin(AbcastRunConfig cfg, const std::string& protocol,
+                       const FaultPin& pin) {
+  TraceRecorder trace;
+  obs::MetricsRegistry registry;
+  cfg.trace = &trace;
+  cfg.metrics = &registry;
+  const auto r = run_abcast(cfg, abcast_factory_by_name(protocol));
+  EXPECT_TRUE(r.safe()) << pin.name;
+  EXPECT_EQ(trace.events().size(), pin.events) << pin.name;
+  const std::uint64_t hash = fnv1a(serialize(trace) + serialize(r) +
+                                   obs::to_json(registry.snapshot()));
+  EXPECT_EQ(hash, pin.hash) << pin.name << ": 0x" << std::hex << hash;
+}
+
+ConsensusRunConfig consensus_config(std::uint64_t seed) {
+  ConsensusRunConfig cfg;
+  cfg.group = GroupParams{4, 1};
+  cfg.net = calibrated_lan_2006();
+  cfg.seed = seed;
+  cfg.proposals = {"a", "b", "b", "a"};
+  return cfg;
+}
+
+FdConfig crash_tracking() {
+  FdConfig fd;
+  fd.mode = FdMode::kCrashTracking;
+  fd.detection_delay_ms = 3.0;
+  return fd;
+}
+
+TEST(GoldenTrace, ConsensusProtocolsPinned) {
+  const FaultPin pins[] = {
+      {"l", 89, 0xc3e83a0daffb8ea9ULL},
+      {"p", 89, 0xdf389df8f77389c3ULL},
+      {"paxos", 48, 0xa036a36568f433dfULL},
+  };
+  for (const FaultPin& pin : pins) {
+    expect_consensus_pin(consensus_config(42), pin.name, pin);
+  }
+}
+
+TEST(GoldenTrace, RecPaxosRestartPinned) {
+  // The leader p0 crashes before anyone decides and restarts over its
+  // surviving storage; the second crash-restart comes from the fault plan.
+  ConsensusRunConfig cfg = consensus_config(7);
+  CrashSpec crash;
+  crash.p = 0;
+  crash.time = 0.1;
+  crash.restart_time = 0.6;
+  cfg.crashes = {crash};
+  cfg.fault_plan = plan("@0.3 crash 2\n@0.9 restart 2");
+  expect_consensus_pin(cfg, "rec-paxos",
+                       {"rec-paxos restart", 69, 0xfbf03d358af4421cULL});
+}
+
+TEST(GoldenTrace, TruncatedBroadcastPinned) {
+  // The leader dies partway through its first broadcast: only p0 and p1
+  // receive it.
+  ConsensusRunConfig cfg = consensus_config(11);
+  cfg.fd = crash_tracking();
+  CrashSpec crash;
+  crash.p = 0;
+  crash.truncate_broadcast_index = 1;
+  crash.partial_targets = {0, 1};
+  cfg.crashes = {crash};
+  expect_consensus_pin(cfg, "l", {"l truncated", 93, 0x5bdb1e5116a61a36ULL});
+}
+
+TEST(GoldenTrace, CrashTrackingFaultPlanPinned) {
+  ConsensusRunConfig cfg = consensus_config(5);
+  cfg.fd = crash_tracking();
+  cfg.fault_plan = plan(
+      "@0.05 flip 0 1 count=2\n"
+      "@0.05 scorrupt 2 count=1\n"
+      "@0.05 equivocate 0 count=2\n"
+      "@0.2 pause 3\n"
+      "@0.3 partition 0 1 | 2 3\n"
+      "@5 resume 3\n"
+      "@7 heal\n");
+  expect_consensus_pin(cfg, "l", {"l fault plan", 108, 0xbd970ba146a1c069ULL});
+}
+
+TEST(GoldenTrace, AbcastFaultPlansPinned) {
+  // A crash, a pause and a partition under a crash-tracking FD, for the
+  // one-step stack and for Paxos (whose leader p0 is the one that crashes).
+  const struct {
+    const char* protocol;
+    ProcessId crashed;
+    FaultPin pin;
+  } rows[] = {
+      {"c-l", 3, {"c-l faults", 3982, 0x66d40e907e859b77ULL}},
+      {"paxos", 0, {"paxos faults", 2215, 0x6fa64e5d01fc68ecULL}},
+  };
+  for (const auto& row : rows) {
+    AbcastRunConfig cfg = golden_config(row.protocol, 21);
+    cfg.fd = crash_tracking();
+    CrashSpec crash;
+    crash.p = row.crashed;
+    crash.time = 120.0;
+    cfg.crashes = {crash};
+    cfg.fault_plan = plan(
+        "@20 pause 2\n@45 resume 2\n@70 partition 0 1 | 2 3\n@85 heal\n");
+    expect_abcast_pin(cfg, row.protocol, row.pin);
+  }
 }
 
 TEST(GoldenTrace, NemesisRunIsDeterministic) {

@@ -22,8 +22,8 @@
 
 #include "abcast/batching.h"
 #include "abcast/paxos_abcast.h"
+#include "check/direct_net.h"
 #include "common/rng.h"
-#include "direct_abcast_harness.h"
 #include "fault/fault_plan.h"
 #include "fault/nemesis.h"
 #include "sim/abcast_world.h"
@@ -46,7 +46,7 @@ bool per_sender_fifo(const std::vector<abcast::MsgId>& history) {
 // Pipeline window, message level: the window genuinely batches (few slots for
 // many messages) and never reorders.
 
-DirectAbcastNet::Factory paxos_factory() {
+sim::SimAbcastFactory paxos_factory() {
   return [](ProcessId self, GroupParams group, abcast::AbcastHost& host,
             const fd::OmegaView& omega, const fd::SuspectView&) {
     return std::make_unique<abcast::PaxosAbcast>(self, group, host, omega);
@@ -55,7 +55,7 @@ DirectAbcastNet::Factory paxos_factory() {
 
 TEST(HotpathBatching, PipelineWindowCoalescesBackloggedMessages) {
   constexpr GroupParams kGroup{3, 1};
-  DirectAbcastNet net(kGroup, paxos_factory());
+  check::AbcastNet net(kGroup, paxos_factory());
   auto* leader = dynamic_cast<abcast::PaxosAbcast*>(&net.protocol(0));
   ASSERT_NE(leader, nullptr);
   abcast::configure_batching(*leader,
@@ -84,7 +84,7 @@ TEST(HotpathBatching, PipelineWindowCoalescesBackloggedMessages) {
 
 TEST(HotpathBatching, WindowZeroKeepsLegacyOneSlotPerMessage) {
   constexpr GroupParams kGroup{3, 1};
-  DirectAbcastNet net(kGroup, paxos_factory());
+  check::AbcastNet net(kGroup, paxos_factory());
   auto* leader = dynamic_cast<abcast::PaxosAbcast*>(&net.protocol(0));
   ASSERT_NE(leader, nullptr);  // window defaults to 0 = unlimited
 

@@ -5,23 +5,23 @@
 #include <memory>
 #include <string>
 
+#include "check/direct_net.h"
 #include "consensus/l_consensus.h"
 #include "consensus/p_consensus.h"
-#include "direct_harness.h"
 
 namespace zdc::testing {
 namespace {
 
 constexpr GroupParams kGroup{4, 1};
 
-DirectNet::Factory l_factory() {
+sim::SimConsensusFactory l_factory() {
   return [](ProcessId self, GroupParams group, consensus::ConsensusHost& host,
             const fd::OmegaView& omega, const fd::SuspectView&) {
     return std::make_unique<consensus::LConsensus>(self, group, host, omega);
   };
 }
 
-DirectNet::Factory p_factory() {
+sim::SimConsensusFactory p_factory() {
   return [](ProcessId self, GroupParams group, consensus::ConsensusHost& host,
             const fd::OmegaView&, const fd::SuspectView& suspects) {
     return std::make_unique<consensus::PConsensus>(self, group, host, suspects);
@@ -31,7 +31,7 @@ DirectNet::Factory p_factory() {
 // --- L-Consensus: Algorithm 1 line by line ---
 
 TEST(LConsensusUnit, Line2WaitsForQuorum) {
-  DirectNet net(kGroup, l_factory());
+  check::ConsensusNet net(kGroup, l_factory());
   net.set_leader_everywhere(0);
   for (ProcessId p = 0; p < 4; ++p) net.propose(p, "v");
   // Two round-1 messages (leader included) are not n−f = 3: p3 must wait.
@@ -44,7 +44,7 @@ TEST(LConsensusUnit, Line2WaitsForQuorum) {
 }
 
 TEST(LConsensusUnit, Line3WaitsForLeaderMessage) {
-  DirectNet net(kGroup, l_factory());
+  check::ConsensusNet net(kGroup, l_factory());
   net.set_leader_everywhere(0);
   for (ProcessId p = 0; p < 4; ++p) net.propose(p, "v");
   // A full quorum *without* the leader's message must keep waiting (line 3).
@@ -57,7 +57,7 @@ TEST(LConsensusUnit, Line3WaitsForLeaderMessage) {
 }
 
 TEST(LConsensusUnit, Line3LeaderChangeUnblocks) {
-  DirectNet net(kGroup, l_factory());
+  check::ConsensusNet net(kGroup, l_factory());
   net.set_leader_everywhere(0);
   for (ProcessId p = 0; p < 4; ++p) net.propose(p, "v");
   net.deliver_one(1, 3);
@@ -75,7 +75,7 @@ TEST(LConsensusUnit, Line3LeaderChangeUnblocks) {
 }
 
 TEST(LConsensusUnit, Line7AdoptsLeaderValue) {
-  DirectNet net(kGroup, l_factory());
+  check::ConsensusNet net(kGroup, l_factory());
   net.set_leader_everywhere(0);
   net.propose(0, "lead");
   net.propose(1, "x");
@@ -92,7 +92,7 @@ TEST(LConsensusUnit, Line7AdoptsLeaderValue) {
 }
 
 TEST(LConsensusUnit, StaleRoundMessagesIgnored) {
-  DirectNet net(kGroup, l_factory());
+  check::ConsensusNet net(kGroup, l_factory());
   net.set_leader_everywhere(0);
   for (ProcessId p = 0; p < 4; ++p) net.propose(p, "v");
   net.deliver_all();
@@ -109,7 +109,7 @@ TEST(LConsensusUnit, StaleRoundMessagesIgnored) {
 }
 
 TEST(LConsensusUnit, MalformedMessagesCounted) {
-  DirectNet net(kGroup, l_factory());
+  check::ConsensusNet net(kGroup, l_factory());
   net.propose(0, "v");
   auto& proto = net.protocol(0);
   proto.on_message(1, common::seal_frame(""));
@@ -126,7 +126,7 @@ TEST(LConsensusUnit, MalformedMessagesCounted) {
 // --- P-Consensus: Algorithm 2 line by line ---
 
 TEST(PConsensusUnit, Line3DecidesOnQuorumOfEquals) {
-  DirectNet net(kGroup, p_factory());
+  check::ConsensusNet net(kGroup, p_factory());
   for (ProcessId p = 0; p < 4; ++p) net.propose(p, "v");
   net.deliver_one(0, 2);
   net.deliver_one(1, 2);
@@ -137,7 +137,7 @@ TEST(PConsensusUnit, Line3DecidesOnQuorumOfEquals) {
 }
 
 TEST(PConsensusUnit, Line6WaitsForTheFrozenQuorum) {
-  DirectNet net(kGroup, p_factory());
+  check::ConsensusNet net(kGroup, p_factory());
   net.propose(0, "a");
   net.propose(1, "b");
   net.propose(2, "c");
@@ -158,7 +158,7 @@ TEST(PConsensusUnit, Line6WaitsForTheFrozenQuorum) {
 }
 
 TEST(PConsensusUnit, SuspicionReleasesTheQuorumWait) {
-  DirectNet net(kGroup, p_factory());
+  check::ConsensusNet net(kGroup, p_factory());
   net.propose(0, "a");
   net.propose(1, "b");
   net.propose(2, "c");
@@ -176,7 +176,7 @@ TEST(PConsensusUnit, SuspicionReleasesTheQuorumWait) {
 }
 
 TEST(PConsensusUnit, Line9ForcesThePivotalValue) {
-  DirectNet net(kGroup, p_factory());
+  check::ConsensusNet net(kGroup, p_factory());
   net.propose(0, "w");
   net.propose(1, "v");
   net.propose(2, "v");
@@ -191,7 +191,7 @@ TEST(PConsensusUnit, Line9ForcesThePivotalValue) {
 }
 
 TEST(PConsensusUnit, DecideMessagePreProposeIsHonored) {
-  DirectNet net(kGroup, p_factory());
+  check::ConsensusNet net(kGroup, p_factory());
   // p0..p2 run to a decision while p3 has not proposed at all.
   net.propose(0, "v");
   net.propose(1, "v");
@@ -209,7 +209,7 @@ TEST(PConsensusUnit, DecideMessagePreProposeIsHonored) {
 }
 
 TEST(PConsensusUnit, DuplicatePropsFromOneSenderCountOnce) {
-  DirectNet net(kGroup, p_factory());
+  check::ConsensusNet net(kGroup, p_factory());
   net.propose(3, "v");
   net.deliver_edge(3, 3);  // p3's own round-1 PROP
   common::Encoder enc;

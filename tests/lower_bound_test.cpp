@@ -21,11 +21,11 @@
 #include <map>
 #include <string>
 
+#include "check/direct_net.h"
 #include "common/codec.h"
 #include "consensus/consensus.h"
 #include "consensus/l_consensus.h"
 #include "consensus/p_consensus.h"
-#include "direct_harness.h"
 
 namespace zdc::testing {
 namespace {
@@ -93,7 +93,7 @@ class NaiveCombinedConsensus final : public consensus::Consensus {
 
 constexpr GroupParams kGroup{4, 1};
 
-DirectNet::Factory naive_factory() {
+sim::SimConsensusFactory naive_factory() {
   return [](ProcessId self, GroupParams group, consensus::ConsensusHost& host,
             const fd::OmegaView& omega, const fd::SuspectView&) {
     return std::make_unique<NaiveCombinedConsensus>(self, group, host, omega);
@@ -102,7 +102,7 @@ DirectNet::Factory naive_factory() {
 
 /// Feeds each process the paper's first-round quorum:
 /// p3 ← {p1,p2,p3}; p0,p1,p2 ← {p0,p1,p2}.
-void deliver_split_round_one(DirectNet& net) {
+void deliver_split_round_one(check::ConsensusNet& net) {
   for (ProcessId from : {1u, 2u, 3u}) net.deliver_one(from, 3);
   for (ProcessId to : {0u, 1u, 2u}) {
     for (ProcessId from : {0u, 1u, 2u}) net.deliver_one(from, to);
@@ -110,7 +110,7 @@ void deliver_split_round_one(DirectNet& net) {
 }
 
 TEST(LowerBound, NaiveOneStepZeroDegradingViolatesAgreement) {
-  DirectNet net(kGroup, naive_factory());
+  check::ConsensusNet net(kGroup, naive_factory());
   net.set_leader_everywhere(0);
   net.propose(0, "0");
   net.propose(1, "1");
@@ -140,7 +140,7 @@ TEST(LowerBound, NaiveOneStepZeroDegradingViolatesAgreement) {
 }
 
 TEST(LowerBound, LConsensusBlocksInsteadOfDecidingOneStep) {
-  DirectNet net(kGroup, [](ProcessId self, GroupParams group,
+  check::ConsensusNet net(kGroup, [](ProcessId self, GroupParams group,
                            consensus::ConsensusHost& host,
                            const fd::OmegaView& omega, const fd::SuspectView&) {
     return std::make_unique<consensus::LConsensus>(self, group, host, omega);
@@ -168,7 +168,7 @@ TEST(LowerBound, LConsensusBlocksInsteadOfDecidingOneStep) {
 }
 
 TEST(LowerBound, PConsensusDecidesOneStepAndStaysSafe) {
-  DirectNet net(kGroup, [](ProcessId self, GroupParams group,
+  check::ConsensusNet net(kGroup, [](ProcessId self, GroupParams group,
                            consensus::ConsensusHost& host, const fd::OmegaView&,
                            const fd::SuspectView& suspects) {
     return std::make_unique<consensus::PConsensus>(self, group, host, suspects);

@@ -7,14 +7,14 @@
 #include <string>
 
 #include "abcast/paxos_abcast.h"
-#include "direct_abcast_harness.h"
+#include "check/direct_net.h"
 
 namespace zdc::testing {
 namespace {
 
 constexpr GroupParams kGroup{3, 1};
 
-DirectAbcastNet::Factory paxos_factory() {
+sim::SimAbcastFactory paxos_factory() {
   return [](ProcessId self, GroupParams group, abcast::AbcastHost& host,
             const fd::OmegaView& omega, const fd::SuspectView&) {
     return std::make_unique<abcast::PaxosAbcast>(self, group, host, omega);
@@ -22,7 +22,7 @@ DirectAbcastNet::Factory paxos_factory() {
 }
 
 TEST(PaxosAbcastUnit, LeaderSequencesOwnSubmission) {
-  DirectAbcastNet net(kGroup, paxos_factory());
+  check::AbcastNet net(kGroup, paxos_factory());
   const abcast::MsgId id = net.a_broadcast(0, "x");  // p0 is the leader
   net.settle();
   for (ProcessId p = 0; p < 3; ++p) {
@@ -32,7 +32,7 @@ TEST(PaxosAbcastUnit, LeaderSequencesOwnSubmission) {
 }
 
 TEST(PaxosAbcastUnit, NonLeaderSubmissionRoutesThroughLeader) {
-  DirectAbcastNet net(kGroup, paxos_factory());
+  check::AbcastNet net(kGroup, paxos_factory());
   net.a_broadcast(2, "y");
   // The client message sits on the 2→0 edge; nothing is sequenced yet.
   EXPECT_EQ(net.pending(2, 0), 1u);
@@ -44,7 +44,7 @@ TEST(PaxosAbcastUnit, NonLeaderSubmissionRoutesThroughLeader) {
 }
 
 TEST(PaxosAbcastUnit, SlotsDeliverInOrderEvenWhenDecidedOutOfOrder) {
-  DirectAbcastNet net(kGroup, paxos_factory());
+  check::AbcastNet net(kGroup, paxos_factory());
   net.a_broadcast(0, "slot1");
   // Let the leader assign slot 1 (it handles its own client message
   // immediately) and broadcast 2a; then submit the next before any 2b flows.
@@ -61,7 +61,7 @@ TEST(PaxosAbcastUnit, SlotsDeliverInOrderEvenWhenDecidedOutOfOrder) {
 }
 
 TEST(PaxosAbcastUnit, FailoverRecoversAcceptedSlots) {
-  DirectAbcastNet net(kGroup, paxos_factory());
+  check::AbcastNet net(kGroup, paxos_factory());
   net.a_broadcast(0, "pre-crash");
   net.settle();
   for (ProcessId p = 0; p < 3; ++p) ASSERT_EQ(net.delivered(p).size(), 1u);
@@ -88,7 +88,7 @@ TEST(PaxosAbcastUnit, FailoverRecoversAcceptedSlots) {
 }
 
 TEST(PaxosAbcastUnit, ClientResendAfterFailoverIsDeduplicated) {
-  DirectAbcastNet net(kGroup, paxos_factory());
+  check::AbcastNet net(kGroup, paxos_factory());
   // p2's submission reaches the leader, which sequences it fully.
   const abcast::MsgId id = net.a_broadcast(2, "once");
   net.settle();
@@ -106,7 +106,7 @@ TEST(PaxosAbcastUnit, ClientResendAfterFailoverIsDeduplicated) {
 }
 
 TEST(PaxosAbcastUnit, UndeliveredMessageResentToNewLeader) {
-  DirectAbcastNet net(kGroup, paxos_factory());
+  check::AbcastNet net(kGroup, paxos_factory());
   net.a_broadcast(2, "lost-then-found");
   // The client message to the (about-to-die) leader is lost with it.
   net.drop_edge(2, 0);
@@ -121,7 +121,7 @@ TEST(PaxosAbcastUnit, UndeliveredMessageResentToNewLeader) {
 }
 
 TEST(PaxosAbcastUnit, StaleLeaderIsNackedAndDefers) {
-  DirectAbcastNet net(kGroup, paxos_factory());
+  check::AbcastNet net(kGroup, paxos_factory());
   // Establish p1 as leader at ballot 1 everywhere.
   net.set_leader_everywhere(1);
   net.notify_fd_change_all();
@@ -142,7 +142,7 @@ TEST(PaxosAbcastUnit, StaleLeaderIsNackedAndDefers) {
 }
 
 TEST(PaxosAbcastUnit, MalformedInputIgnored) {
-  DirectAbcastNet net(kGroup, paxos_factory());
+  check::AbcastNet net(kGroup, paxos_factory());
   net.protocol(0).on_message(1, "");
   net.protocol(0).on_message(1, std::string("\xee", 1));
   net.protocol(0).on_message(1, std::string("\x04\x01", 2));  // truncated 2a

@@ -13,11 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "check/direct_net.h"
 #include "common/rng.h"
 #include "common/stable_storage.h"
 #include "consensus/paxos.h"
 #include "consensus/recovering_paxos.h"
-#include "direct_harness.h"
 #include "runtime/consensus_runner.h"
 #include "runtime/inproc_net.h"
 #include "sim/consensus_world.h"
@@ -44,7 +44,7 @@ struct RecoveringFleet {
     };
   }
 
-  testing::DirectNet::Factory direct_factory() {
+  sim::SimConsensusFactory direct_factory() {
     return [this](ProcessId self, GroupParams group,
                   consensus::ConsensusHost& host, const fd::OmegaView& omega,
                   const fd::SuspectView&) {
@@ -57,7 +57,7 @@ struct RecoveringFleet {
   std::vector<std::unique_ptr<common::InMemoryStableStorage>> storages;
 };
 
-testing::DirectNet::Factory amnesiac_factory() {
+sim::SimConsensusFactory amnesiac_factory() {
   return [](ProcessId self, GroupParams group, consensus::ConsensusHost& host,
             const fd::OmegaView& omega, const fd::SuspectView&) {
     return std::unique_ptr<consensus::Consensus>(
@@ -113,7 +113,7 @@ TEST(RecoveringPaxos, AcceptorBounceStaysSafeAcrossSeeds) {
 // forced to re-propose "zero". With amnesia, p1 denies everything and p2
 // freely decides "two" — contradicting p0's decision.
 template <typename MakeRestartFactory>
-void run_incarnation_schedule(testing::DirectNet& net,
+void run_incarnation_schedule(check::ConsensusNet& net,
                               MakeRestartFactory restart_factory,
                               bool& zero_decided_at_p0) {
   net.fd(0).omega.value = 0;
@@ -153,7 +153,7 @@ void run_incarnation_schedule(testing::DirectNet& net,
 
 TEST(RecoveringPaxos, RecoveredPromiseForcesTheDecidedValue) {
   RecoveringFleet fleet(3);
-  testing::DirectNet net(GroupParams{3, 1}, fleet.direct_factory());
+  check::ConsensusNet net(GroupParams{3, 1}, fleet.direct_factory());
   bool zero_decided = false;
   run_incarnation_schedule(
       net, [&fleet] { return fleet.direct_factory(); }, zero_decided);
@@ -165,7 +165,7 @@ TEST(RecoveringPaxos, RecoveredPromiseForcesTheDecidedValue) {
 }
 
 TEST(AmnesiacRestart, ViolatesAgreementWithoutStableStorage) {
-  testing::DirectNet net(GroupParams{3, 1}, amnesiac_factory());
+  check::ConsensusNet net(GroupParams{3, 1}, amnesiac_factory());
   bool zero_decided = false;
   run_incarnation_schedule(net, [] { return amnesiac_factory(); },
                            zero_decided);

@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "check/direct_net.h"
 #include "core/replicated_log.h"
-#include "direct_abcast_harness.h"
 
 #include "abcast/c_abcast.h"
 
@@ -104,7 +104,7 @@ TEST(ReplicatedLog, SnapshotTracksContentAndFrame) {
 // indices on every replica — the order-dependent-result property.
 TEST(ReplicatedLog, ConcurrentAppendsGetIdenticalIndicesEverywhere) {
   constexpr GroupParams kGroup{4, 1};
-  testing::DirectAbcastNet net(
+  check::AbcastNet net(
       kGroup, [](ProcessId s, GroupParams g, abcast::AbcastHost& h,
                  const fd::OmegaView& o, const fd::SuspectView&) {
         return std::unique_ptr<abcast::AtomicBroadcast>(

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "check/direct_net.h"
 #include "check/invariants.h"
 #include "common/rng.h"
 #include "consensus/brasileiro.h"
@@ -20,8 +21,6 @@
 #include "consensus/p_consensus.h"
 #include "consensus/paxos.h"
 #include "consensus/wab_consensus.h"
-#include "direct_abcast_harness.h"
-#include "direct_harness.h"
 
 #include "abcast/c_abcast.h"
 #include "abcast/paxos_abcast.h"
@@ -30,11 +29,6 @@ namespace zdc::testing {
 namespace {
 
 constexpr GroupParams kGroup{4, 1};
-
-void deliver_oracle(DirectNet& net, ProcessId from,
-                    const std::vector<ProcessId>* targets);
-void deliver_oracle(DirectAbcastNet& net, ProcessId from,
-                    const std::vector<ProcessId>* targets);
 
 /// One adversary step: deliver a uniformly random pending message (transport
 /// edge or oracle datagram). Returns false when nothing is pending.
@@ -61,9 +55,9 @@ bool random_step(Net& net, common::Rng& rng, std::uint32_t n) {
       for (ProcessId t = 0; t < n; ++t) {
         if (rng.chance(0.7)) targets.push_back(t);
       }
-      deliver_oracle(net, c.from, &targets);
+      net.deliver_wab(c.from, &targets);
     } else {
-      deliver_oracle(net, c.from, nullptr);
+      net.deliver_wab(c.from);
     }
   } else {
     net.deliver_one(c.from, c.to);
@@ -71,25 +65,11 @@ bool random_step(Net& net, common::Rng& rng, std::uint32_t n) {
   return true;
 }
 
-void deliver_oracle(DirectNet& net, ProcessId from,
-                    const std::vector<ProcessId>* targets) {
-  if (targets != nullptr) {
-    net.deliver_wab_to(from, *targets);
-  } else {
-    net.deliver_wab_broadcast(from);
-  }
-}
-
-void deliver_oracle(DirectAbcastNet& net, ProcessId from,
-                    const std::vector<ProcessId>* targets) {
-  net.deliver_wab(from, targets);
-}
-
 /// Snapshot of the direct-drive net in the shared invariant library's terms.
 /// Random (possibly wrong) FD outputs mean no stability claim, so only the
 /// safety invariants (agreement/validity/integrity) apply — exactly what an
 /// adversarial-schedule run is allowed to promise.
-check::ConsensusObs observe(const DirectNet& net,
+check::ConsensusObs observe(const check::ConsensusNet& net,
                             const std::vector<Value>& proposals) {
   check::ConsensusObs obs;
   obs.group = net.group();
@@ -99,7 +79,8 @@ check::ConsensusObs observe(const DirectNet& net,
     obs.procs[p].proposed = true;
     obs.procs[p].decided = net.decided(p);
     if (net.decided(p)) obs.procs[p].decision = net.decision(p);
-    obs.procs[p].decision_deliveries = net.decision_deliveries(p);
+    obs.procs[p].decision_deliveries =
+        static_cast<std::uint32_t>(net.delivered(p).size());
   }
   obs.stable = false;
   return obs;
@@ -107,7 +88,7 @@ check::ConsensusObs observe(const DirectNet& net,
 
 struct NamedFactory {
   const char* name;
-  DirectNet::Factory factory;
+  sim::SimConsensusFactory factory;
   bool oracle_terminating;  ///< termination needs cooperative oracle delivery
 };
 
@@ -152,7 +133,7 @@ TEST(ScheduleFuzz, ConsensusSafetyUnderArbitraryInterleavings) {
   for (const NamedFactory& nf : protocol_zoo()) {
     for (std::uint64_t seed = 1; seed <= 100; ++seed) {
       common::Rng rng(seed * 48611 + 7);
-      DirectNet net(kGroup, nf.factory);
+      check::ConsensusNet net(kGroup, nf.factory);
       // Random (possibly wrong, but constant) FD outputs per process: the
       // indulgent protocols may stall but must stay safe; a drain with good
       // FD output afterwards must then terminate them.
@@ -190,7 +171,7 @@ TEST(ScheduleFuzz, ConsensusSafetyUnderArbitraryInterleavings) {
         bool progressed = net.pending_total() > 0;
         net.deliver_all();
         for (ProcessId p = 0; p < 4; ++p) {
-          while (net.deliver_wab_broadcast(p)) progressed = true;
+          while (net.deliver_wab(p)) progressed = true;
         }
         if (!progressed) break;
       }
@@ -208,7 +189,7 @@ TEST(ScheduleFuzz, ConsensusSafetyUnderArbitraryInterleavings) {
 }
 
 TEST(ScheduleFuzz, AbcastSafetyUnderArbitraryInterleavings) {
-  const std::vector<std::pair<const char*, DirectAbcastNet::Factory>>
+  const std::vector<std::pair<const char*, sim::SimAbcastFactory>>
       factories = {
           {"c-abcast-l",
            [](ProcessId s, GroupParams g, abcast::AbcastHost& h,
@@ -233,7 +214,7 @@ TEST(ScheduleFuzz, AbcastSafetyUnderArbitraryInterleavings) {
   for (const auto& [name, factory] : factories) {
     for (std::uint64_t seed = 1; seed <= 60; ++seed) {
       common::Rng rng(seed * 92821 + 3);
-      DirectAbcastNet net(kGroup, factory);
+      check::AbcastNet net(kGroup, factory);
       // Interleave submissions with adversarial delivery.
       std::uint32_t submitted = 0;
       for (int step = 0; step < 600; ++step) {

@@ -331,7 +331,7 @@ struct DurableFleet {
     ASSERT_TRUE(s.is_ok()) << "p" << p << ": " << s.to_string();
   }
 
-  check::DirectNet::Factory factory() {
+  sim::SimConsensusFactory factory() {
     return [this](ProcessId self, GroupParams group,
                   consensus::ConsensusHost& host, const fd::OmegaView& omega,
                   const fd::SuspectView&) {
@@ -346,7 +346,7 @@ struct DurableFleet {
   std::vector<std::unique_ptr<DurableStableStorage>> stores;
 };
 
-check::ConsensusObs observe(const check::DirectNet& net,
+check::ConsensusObs observe(const check::ConsensusNet& net,
                             std::vector<Value> proposals, bool stable) {
   check::ConsensusObs obs;
   obs.group = net.group();
@@ -371,7 +371,7 @@ check::ConsensusObs observe(const check::DirectNet& net,
 
 TEST(DurableFleet, CleanRunMeetsZeroDegradationOverTheRealWal) {
   DurableFleet fleet(3);
-  check::DirectNet net(GroupParams{3, 1}, fleet.factory());
+  check::ConsensusNet net(GroupParams{3, 1}, fleet.factory());
   net.set_leader_everywhere(0);
   const std::vector<Value> proposals = {"a", "b", "c"};
   for (ProcessId p = 0; p < 3; ++p) net.propose(p, proposals[p]);
@@ -402,7 +402,7 @@ TEST(DurableFleet, CleanRunMeetsZeroDegradationOverTheRealWal) {
 void run_kill9_schedule(bool after_2b_escaped, const Value& expected_p2) {
   SCOPED_TRACE(after_2b_escaped ? "after 2b escaped" : "before 2b escaped");
   DurableFleet fleet(3);
-  check::DirectNet net(GroupParams{3, 1}, fleet.factory());
+  check::ConsensusNet net(GroupParams{3, 1}, fleet.factory());
   net.fd(0).omega.value = 0;
   net.fd(1).omega.value = 0;
   net.fd(2).omega.value = 2;

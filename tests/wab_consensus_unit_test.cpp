@@ -6,22 +6,23 @@
 #include <memory>
 #include <string>
 
+#include "check/direct_net.h"
 #include "consensus/wab_consensus.h"
-#include "direct_harness.h"
 
 namespace zdc::testing {
 namespace {
 
 constexpr GroupParams kGroup{4, 1};
 
-DirectNet::Factory wab_factory() {
+sim::SimConsensusFactory wab_factory() {
   return [](ProcessId self, GroupParams group, consensus::ConsensusHost& host,
             const fd::OmegaView&, const fd::SuspectView&) {
     return std::make_unique<consensus::WabConsensus>(self, group, host);
   };
 }
 
-void propose_all(DirectNet& net, const std::vector<Value>& proposals) {
+void propose_all(check::ConsensusNet& net,
+                 const std::vector<Value>& proposals) {
   for (ProcessId p = 0; p < proposals.size(); ++p) {
     net.propose(p, proposals[p]);
   }
@@ -29,7 +30,7 @@ void propose_all(DirectNet& net, const std::vector<Value>& proposals) {
 
 /// Drains regular traffic and oracle datagrams with spontaneous order intact
 /// (every datagram reaches everyone, in sender order).
-void settle(DirectNet& net) {
+void settle(check::ConsensusNet& net) {
   for (int guard = 0; guard < 10'000; ++guard) {
     bool progressed = false;
     if (net.pending_total() > 0) {
@@ -37,7 +38,7 @@ void settle(DirectNet& net) {
       progressed = true;
     }
     for (ProcessId p = 0; p < kGroup.n; ++p) {
-      while (net.deliver_wab_broadcast(p)) progressed = true;
+      while (net.deliver_wab(p)) progressed = true;
     }
     if (!progressed) return;
   }
@@ -45,7 +46,7 @@ void settle(DirectNet& net) {
 }
 
 TEST(WabConsensusUnit, UnanimousDecidesInOneStepWithoutOracle) {
-  DirectNet net(kGroup, wab_factory());
+  check::ConsensusNet net(kGroup, wab_factory());
   propose_all(net, {"v", "v", "v", "v"});
   net.deliver_all();  // votes only; no oracle traffic needed
   for (ProcessId p = 0; p < 4; ++p) {
@@ -58,7 +59,7 @@ TEST(WabConsensusUnit, UnanimousDecidesInOneStepWithoutOracle) {
 }
 
 TEST(WabConsensusUnit, DivergentProposalsRecoverViaOracle) {
-  DirectNet net(kGroup, wab_factory());
+  check::ConsensusNet net(kGroup, wab_factory());
   propose_all(net, {"a", "b", "a", "b"});
   net.deliver_all();  // stage 1 votes: 2-2 split, nobody decides
   for (ProcessId p = 0; p < 4; ++p) {
@@ -77,7 +78,7 @@ TEST(WabConsensusUnit, AdversarialOracleSplitsButNeverViolatesAgreement) {
   // Engineer a genuine estimate split after stage 1: each process evaluates
   // at its first n−f = 3 votes, and we choose the quorums so that p0/p1
   // adopt "a" while p2/p3 adopt "b".
-  DirectNet net(kGroup, wab_factory());
+  check::ConsensusNet net(kGroup, wab_factory());
   propose_all(net, {"a", "a", "b", "b"});
   for (ProcessId from : {0u, 1u, 2u}) net.deliver_one(from, 0);  // a,a,b
   for (ProcessId from : {0u, 1u, 3u}) net.deliver_one(from, 1);  // a,a,b
@@ -91,8 +92,10 @@ TEST(WabConsensusUnit, AdversarialOracleSplitsButNeverViolatesAgreement) {
   // Collision: the oracle shows p0's "a" first to p0/p1 but p3's "b" first
   // to p2/p3 — the split persists through stage 2, yet whatever decisions
   // ever happen must agree.
-  net.deliver_wab_to(0, {0, 1});
-  net.deliver_wab_to(3, {2, 3});
+  const std::vector<ProcessId> left = {0, 1};
+  const std::vector<ProcessId> right = {2, 3};
+  net.deliver_wab(0, &left);
+  net.deliver_wab(3, &right);
   net.deliver_all();
   const Value* first_decision = nullptr;
   for (ProcessId p = 0; p < 4; ++p) {
@@ -117,7 +120,7 @@ TEST(WabConsensusUnit, MajorityAdoptionForcesTheDominantValue) {
   // stage-1 votes decides "a" outright; one that advanced after seeing only
   // {a, a, b} has adopted "a" (strict majority) — so "a" is the only value
   // that can ever be decided.
-  DirectNet net(kGroup, wab_factory());
+  check::ConsensusNet net(kGroup, wab_factory());
   propose_all(net, {"a", "a", "a", "b"});
   // p3 advances on quorum {0, 1, 3}: a, a, b → adopts "a", stage 2.
   net.deliver_one(0, 3);
@@ -140,7 +143,7 @@ TEST(WabConsensusUnit, MajorityAdoptionForcesTheDominantValue) {
 }
 
 TEST(WabConsensusUnit, ValidityHoldsAcrossStages) {
-  DirectNet net(kGroup, wab_factory());
+  check::ConsensusNet net(kGroup, wab_factory());
   propose_all(net, {"a", "b", "c", "d"});
   settle(net);
   for (ProcessId p = 0; p < 4; ++p) {
@@ -151,7 +154,7 @@ TEST(WabConsensusUnit, ValidityHoldsAcrossStages) {
 }
 
 TEST(WabConsensusUnit, MalformedMessagesAreCountedAndIgnored) {
-  DirectNet net(kGroup, wab_factory());
+  check::ConsensusNet net(kGroup, wab_factory());
   propose_all(net, {"v", "v", "v", "v"});
   auto& proto = net.protocol(0);
   proto.on_message(1, common::seal_frame(""));                        // empty

@@ -134,10 +134,24 @@ std::vector<sim::CrashSpec> parse_crashes(const Flags& flags,
   return crashes;
 }
 
+/// Whether `mode` can run plan action `kind`. A plan naming anything else is
+/// refused up front, never aborted mid-run or silently ignored. The abcast
+/// world is crash-stop and runs no corruption: C-Abcast's tag and instance
+/// header and every Paxos-Abcast frame sit outside the CRC seal, so a flip
+/// there would not be a detectable drop. Sequence and runtime run no plan.
+bool mode_runs(const std::string& mode, fault::FaultKind kind) {
+  if (mode == "consensus") return true;
+  return mode == "abcast" && kind != fault::FaultKind::kRestart &&
+         kind != fault::FaultKind::kFlip &&
+         kind != fault::FaultKind::kEquivocate &&
+         kind != fault::FaultKind::kStateCorrupt;
+}
+
 /// Loads a nemesis plan from --plan FILE or --plan-text "a;b;c" (';' doubles
 /// as a line separator so a whole plan fits in one shell argument). Exits
-/// with a diagnostic on parse errors.
-fault::FaultPlan load_plan(const Flags& flags) {
+/// with a line-numbered diagnostic on parse errors and on the first action
+/// `mode` cannot run.
+fault::FaultPlan load_plan(const Flags& flags, const std::string& mode) {
   fault::FaultPlan plan;
   std::string text;
   if (flags.has("plan")) {
@@ -162,6 +176,21 @@ fault::FaultPlan load_plan(const Flags& flags) {
   if (!fault::parse_fault_plan(text, &plan, &error)) {
     std::fprintf(stderr, "bad fault plan: %s\n", error.c_str());
     std::exit(2);
+  }
+  // The parsed plan is sorted by time; every line parses on its own, so
+  // re-reading them one at a time recovers the offending line's number.
+  std::istringstream lines(text);
+  std::string line;
+  for (std::size_t line_no = 1; std::getline(lines, line); ++line_no) {
+    fault::FaultPlan one;
+    if (fault::parse_fault_plan(line, &one, &error) && !one.empty() &&
+        !mode_runs(mode, one.actions[0].kind)) {
+      std::fprintf(stderr,
+                   "bad fault plan: line %zu: %s mode cannot run '%s'\n",
+                   line_no, mode.c_str(),
+                   fault::fault_kind_name(one.actions[0].kind));
+      std::exit(2);
+    }
   }
   return plan;
 }
@@ -207,7 +236,7 @@ int run_consensus_mode(const Flags& flags) {
   cfg.net = sim::calibrated_lan_2006();
   cfg.fd = parse_fd(flags);
   cfg.crashes = parse_crashes(flags, cfg.group.n);
-  cfg.fault_plan = load_plan(flags);
+  cfg.fault_plan = load_plan(flags, "consensus");
 
   if (flags.has("proposals")) {
     cfg.proposals = split(flags.get("proposals", ""), ',');
@@ -275,7 +304,7 @@ int run_abcast_mode(const Flags& flags) {
   cfg.net = sim::calibrated_lan_2006();
   cfg.fd = parse_fd(flags);
   cfg.crashes = parse_crashes(flags, cfg.group.n);
-  cfg.fault_plan = load_plan(flags);
+  cfg.fault_plan = load_plan(flags, "abcast");
   cfg.throughput_per_s = flags.num("throughput", 100);
   cfg.message_count = static_cast<std::uint32_t>(flags.num("messages", 400));
 
@@ -309,6 +338,7 @@ int run_abcast_mode(const Flags& flags) {
 }
 
 int run_sequence_mode(const Flags& flags) {
+  load_plan(flags, "sequence");  // refuses any plan
   sim::SequenceConfig cfg;
   cfg.group.n = static_cast<std::uint32_t>(flags.num("n", 4));
   cfg.group.f = static_cast<std::uint32_t>(flags.num("f", 1));
@@ -353,6 +383,7 @@ int run_sequence_mode(const Flags& flags) {
 }
 
 int run_runtime_mode(const Flags& flags) {
+  load_plan(flags, "runtime");  // refuses any plan
   const std::string protocol = flags.get("protocol", "c-l");
   runtime::ProtocolKind kind;
   if (protocol == "c-l") {
@@ -457,6 +488,9 @@ void usage() {
       "  --detect-ms X  detection delay for --fd track\n"
       "  --crash SPEC   e.g. 0@0.5 (p0 at 0.5 ms), 2@init, comma-separated\n"
       "  --plan FILE    nemesis plan file (see docs/FAULTS.md for the syntax)\n"
+      "                 consensus runs every action, abcast all but\n"
+      "                 restart/flip/scorrupt/equivocate, sequence and\n"
+      "                 runtime none\n"
       "  --plan-text T  inline plan, ';' separates actions:\n"
       "                 \"@0.2 partition 0 1 | 2 3;@6 heal\"\n\n"
       "  --metrics      print the run's metrics (JSON + Prometheus text)\n"
