@@ -46,8 +46,8 @@ run_static() {
 # Metrics stage: the exporter determinism contract, end to end. Two
 # fixed-seed runs of each sim mode (abcast, consensus under a crash-tracking
 # FD with a crash, sequence) must emit byte-identical metrics JSON, and
-# every sim and runtime document must pass the zdc-metrics-v1 schema
-# validator.
+# every sim and runtime document (the runtime once per transport) must pass
+# the zdc-metrics-v1 schema validator.
 run_metrics() {
   echo "=== metrics: build zdc_explore"
   cmake -B build -S . > /dev/null
@@ -73,6 +73,10 @@ run_metrics() {
   "$explore" runtime c-l --messages 30 --throughput 2000 \
     --metrics-out "$out/runtime.json" > /dev/null
   "$explore" validate-metrics "$out/runtime.json"
+  echo "=== metrics: schema validation (runtime over UDP: zdc_udp_* families)"
+  "$explore" runtime c-l --transport udp --messages 30 --throughput 2000 \
+    --metrics-out "$out/runtime-udp.json" > /dev/null
+  "$explore" validate-metrics "$out/runtime-udp.json"
 }
 
 run_suite() {

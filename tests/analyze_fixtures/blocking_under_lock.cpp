@@ -1,5 +1,5 @@
-// True positives: fsync directly under a guard (write_direct) and through a
-// callee (write_both holds mu_ when it calls flush, which reaches fsync).
+// True positives: fsync under a guard (write_direct) and via a callee
+// (write_both reaches fsync through flush); ppoll under a guard (wait_locked).
 namespace zdc {
 
 class Log {
@@ -17,6 +17,19 @@ class Log {
  private:
   common::Mutex mu_;
   int fd_ = -1;
+};
+
+class Loop {
+ public:
+  void wait_locked() {
+    common::MutexLock lock(mu_);
+    ppoll(&pfd_, 1, &timeout_, nullptr);
+  }
+
+ private:
+  common::Mutex mu_;
+  pollfd pfd_{};
+  timespec timeout_{};
 };
 
 }  // namespace zdc

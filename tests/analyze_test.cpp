@@ -144,9 +144,12 @@ TEST(AnalyzeTest, RecursiveLock) {
 }
 
 TEST(AnalyzeTest, BlockingUnderLock) {
-  // fsync directly under the guard, and through the flush() callee.
+  // fsync directly under the guard, through the flush() callee, and ppoll
+  // under the guard.
   EXPECT_EQ(hits("blocking_under_lock.cpp"),
-            (Hits{{10, "blocking-under-lock"}, {14, "blocking-under-lock"}}));
+            (Hits{{10, "blocking-under-lock"},
+                  {14, "blocking-under-lock"},
+                  {26, "blocking-under-lock"}}));
 }
 
 TEST(AnalyzeTest, BlockingNearMissesAreSilent) {

@@ -1,17 +1,26 @@
 // Tests for the loopback-UDP transport: basic delivery, the ARQ reliable
-// channel under artificial datagram loss, crash semantics, and a full
+// channel under artificial datagram loss, crash semantics, malformed and
+// overflowing inbound traffic from a foreign socket, and a full
 // replicated-KV cluster running over real sockets.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/codec.h"
 #include "core/kv_store.h"
 #include "core/rsm.h"
+#include "obs/metrics.h"
 #include "runtime/runtime_node.h"
 #include "runtime/udp_net.h"
 
@@ -144,6 +153,118 @@ TEST(UdpNet, CrashStopsTraffic) {
   EXPECT_EQ(got, 0);
   EXPECT_TRUE(net.crashed(1));
   net.shutdown();
+}
+
+/// A plain loopback socket outside the transport, for crafted datagrams.
+class RawSender {
+ public:
+  RawSender() : fd_(::socket(AF_INET, SOCK_DGRAM, 0)) {}
+  ~RawSender() { ::close(fd_); }
+  RawSender(const RawSender&) = delete;
+  RawSender& operator=(const RawSender&) = delete;
+
+  void send(std::uint16_t port, const std::string& bytes) const {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    ASSERT_EQ(::sendto(fd_, bytes.data(), bytes.size(), 0,
+                       reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+ private:
+  int fd_;
+};
+
+/// A data datagram in the transport's wire format, with a raw channel byte.
+std::string data_datagram(std::uint8_t channel, ProcessId from,
+                          const std::string& payload) {
+  common::Encoder enc;
+  enc.put_u8(0);  // data
+  enc.put_u8(channel);
+  enc.put_u32(from);
+  enc.put_u64(0);  // seq: unused on best-effort channels
+  enc.put_u64(0);  // wab instance
+  enc.put_raw(payload);
+  return enc.take();
+}
+
+constexpr auto kHeartbeatByte = static_cast<std::uint8_t>(Channel::kHeartbeat);
+
+TEST(UdpNet, MalformedDatagramsAreDropped) {
+  UdpNetwork net(udp_config(2));
+  std::mutex mu;
+  std::vector<Delivery> got;
+  net.set_handler(0, [](const Delivery&) {});
+  net.set_handler(1, [&](const Delivery& d) {
+    std::lock_guard<std::mutex> lock(mu);
+    got.push_back(d);
+  });
+  net.start();
+  RawSender raw;
+  // Truncated headers: read without a bounds check they become an empty
+  // heartbeat from p0 (which would count as p0's liveness) and an empty
+  // oracle datagram.
+  raw.send(net.port(1), std::string("\x00\x01", 2));
+  raw.send(net.port(1), std::string("\x00\x02", 2));
+  // A complete header on a channel byte no Channel names.
+  raw.send(net.port(1), data_datagram(9, 0, "unknown-channel"));
+  // A sender id outside the group.
+  raw.send(net.port(1), data_datagram(kHeartbeatByte, 7, "stranger"));
+  // One sender's datagrams are read in order, so once this valid heartbeat
+  // arrives every crafted one before it has been handled.
+  raw.send(net.port(1), data_datagram(kHeartbeatByte, 0, "valid"));
+  ASSERT_TRUE(RuntimeCluster::wait_until(
+      [&] {
+        std::lock_guard<std::mutex> lock(mu);
+        return !got.empty();
+      },
+      10'000.0));
+  net.shutdown();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].channel, Channel::kHeartbeat);
+  EXPECT_EQ(got[0].from, 0u);
+  EXPECT_EQ(got[0].bytes, "valid");
+}
+
+TEST(UdpNet, KernelReceiveBufferDropsAreCounted) {
+  obs::MetricsRegistry registry;
+  UdpNetwork::Config cfg = udp_config(2);
+  cfg.metrics = &registry;
+  UdpNetwork net(cfg);
+  std::atomic<int> valid{0};
+  net.set_handler(0, [](const Delivery&) {});
+  net.set_handler(1, [&](const Delivery& d) {
+    if (d.bytes == "after-flood") ++valid;
+  });
+  net.start();
+  // A paused endpoint reads nothing, so the kernel queues the flood until
+  // the socket buffer (at most 8 MiB) is full and drops the rest: 300
+  // near-maximal datagrams are ~18 MiB of kernel charge. They carry an
+  // unknown type byte, so whatever fits is discarded on resume.
+  net.links().pause(1);
+  RawSender raw;
+  const std::string junk(60000, '\xff');
+  for (int i = 0; i < 300; ++i) raw.send(net.port(1), junk);
+  net.links().resume(1);
+  // The drop count rides on the next datagram queued after the drops. Until
+  // the loop has drained the full buffer a send may be dropped too, so
+  // resend until one arrives.
+  for (int i = 0; i < 1000 && valid.load() == 0; ++i) {
+    raw.send(net.port(1), data_datagram(kHeartbeatByte, 0, "after-flood"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  net.shutdown();
+  ASSERT_GT(valid.load(), 0);
+  EXPECT_GT(registry.counter("zdc_udp_kernel_drops_total",
+                             obs::process_label(1))
+                .value(),
+            0u);
+  EXPECT_EQ(registry.counter("zdc_udp_kernel_drops_total",
+                             obs::process_label(0))
+                .value(),
+            0u);
 }
 
 // The whole stack over real sockets: 4 replicas, C-Abcast/L, heartbeat ◇P,

@@ -991,8 +991,9 @@ struct StructureParser {
 
 const std::set<std::string>& blocking_calls() {
   static const std::set<std::string> s = {
-      "fsync",     "fdatasync", "sendto",   "recvfrom", "poll",
-      "select",    "sleep_for", "sleep_until", "usleep", "nanosleep",
+      "fsync",     "fdatasync", "sendto",   "recvfrom", "recvmsg",
+      "poll",      "ppoll",     "select",   "sleep_for", "sleep_until",
+      "usleep",    "nanosleep",
   };
   return s;
 }
