@@ -13,6 +13,12 @@
 // read-index-on rows must show a live fast path with fewer rounds than
 // reads.
 //
+// The numbers are modelled, not measured: service_sim runs the real session
+// and durability classes over a modelled ordering core, so the rates are per
+// *simulated* second and the latencies simulated milliseconds. The artifact
+// says so ("model": "service_sim", "timebase": "simulated") and the
+// validator requires both keys.
+//
 // Emits machine-readable BENCH_service.json (schema zdc-bench-service-v1);
 // --validate schema-checks an artifact.
 //
@@ -86,7 +92,7 @@ ServiceRow run_mode(bool read_index, bool quick, std::uint64_t seed) {
 
 void print_table(const std::vector<ServiceRow>& rows) {
   std::printf("=== Service layer: sessions + linearizable reads, read-index "
-              "on vs off ===\n");
+              "on vs off (service_sim model, simulated time) ===\n");
   std::printf("%-16s %10s %10s %10s %10s %12s %10s %10s\n", "mode", "writes/s",
               "reads/s", "fast", "ordered", "cons.rounds", "wr ms", "rd ms");
   for (const ServiceRow& r : rows) {
@@ -114,7 +120,9 @@ void print_table(const std::vector<ServiceRow>& rows) {
 
 std::string to_json(const std::vector<ServiceRow>& rows, bool quick,
                     std::uint64_t seed) {
-  std::string out = "{\n  \"schema\": \"zdc-bench-service-v1\",\n";
+  std::string out =
+      "{\n  \"schema\": \"zdc-bench-service-v1\",\n"
+      "  \"model\": \"service_sim\",\n  \"timebase\": \"simulated\",\n";
   char buf[768];
   std::snprintf(buf, sizeof(buf), "  \"quick\": %s,\n  \"seed_base\": %llu,\n",
                 quick ? "true" : "false",
@@ -234,6 +242,8 @@ std::string validate_json(const std::string& text) {
   if (!j.consume('{')) return "not a JSON object";
 
   bool saw_schema = false;
+  bool saw_model = false;
+  bool saw_timebase = false;
   bool saw_rows = false;
   bool saw_on_mode = false;
   bool saw_off_mode = false;
@@ -246,6 +256,14 @@ std::string validate_json(const std::string& text) {
       const std::string v = j.parse_string();
       if (v != "zdc-bench-service-v1") return "unknown schema '" + v + "'";
       saw_schema = true;
+    } else if (key == "model") {
+      const std::string v = j.parse_string();
+      if (v != "service_sim") return "unknown model '" + v + "'";
+      saw_model = true;
+    } else if (key == "timebase") {
+      const std::string v = j.parse_string();
+      if (v != "simulated") return "timebase '" + v + "' is not simulated";
+      saw_timebase = true;
     } else if (key == "quick") {
       j.parse_bool();
     } else if (key == "seed_base") {
@@ -316,6 +334,10 @@ std::string validate_json(const std::string& text) {
   j.skip_ws();
   if (j.p != j.end) return "trailing garbage";
   if (!saw_schema) return "missing schema";
+  if (!saw_model || !saw_timebase) {
+    return "missing model/timebase: the rates are modelled, per simulated "
+           "second";
+  }
   if (!saw_rows) return "missing rows";
   if (row_count == 0) return "rows is empty";
   if (!saw_on_mode || !saw_off_mode) return "missing a read-index mode row";

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs clang-tidy (config: .clang-tidy at the repo root) over every source
 # file under src/, using the compile_commands.json of an existing build
-# directory. Skips with a notice when clang-tidy isn't installed so `make
-# lint` stays usable on gcc-only machines.
+# directory. Skips with a notice when clang-tidy isn't installed so
+# `scripts/check.sh --static` stays usable on gcc-only machines.
 #
 #   scripts/run_clang_tidy.sh [repo-root [build-dir]]
 set -eu

@@ -1,6 +1,8 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <set>
 #include <sstream>
@@ -197,18 +199,24 @@ bool fail(std::string* error, std::size_t line_no, const std::string& why) {
   return false;
 }
 
-/// Strict: the whole token must be a number ("2nonsense" is rejected).
+/// Strict: the whole token must be a finite number ("2nonsense", "nan" and
+/// "inf" are rejected).
 bool parse_number(const std::string& token, double* out) {
   try {
     std::size_t consumed = 0;
     *out = std::stod(token, &consumed);
-    return consumed == token.size();
+    return consumed == token.size() && std::isfinite(*out);
   } catch (...) {
     return false;
   }
 }
 
+/// Strict unsigned: digits only. std::stoull alone would accept "-1" and
+/// wrap it to 2^64 - 1.
 bool parse_u64(const std::string& token, std::uint64_t* out) {
+  if (token.empty() || !std::isdigit(static_cast<unsigned char>(token[0]))) {
+    return false;
+  }
   try {
     std::size_t consumed = 0;
     const unsigned long long v = std::stoull(token, &consumed);
@@ -220,16 +228,18 @@ bool parse_u64(const std::string& token, std::uint64_t* out) {
   }
 }
 
+/// A process id below the kNoProcess sentinel, digits only.
 bool parse_pid(const std::string& token, ProcessId* out) {
-  try {
-    std::size_t consumed = 0;
-    const unsigned long v = std::stoul(token, &consumed);
-    if (consumed != token.size()) return false;
-    *out = static_cast<ProcessId>(v);
-    return true;
-  } catch (...) {
-    return false;
-  }
+  std::uint64_t v = 0;
+  if (!parse_u64(token, &v) || v >= kNoProcess) return false;
+  *out = static_cast<ProcessId>(v);
+  return true;
+}
+
+/// Reads the next token as a process id.
+bool read_pid(std::istringstream& in, ProcessId* out) {
+  std::string token;
+  return (in >> token) && parse_pid(token, out);
 }
 
 /// Consumes the trailing [count=] [byte=] [bit=] options of a corruption
@@ -279,7 +289,7 @@ bool parse_fault_plan(const std::string& text, FaultPlan* plan,
       return fail(error, line_no, "expected '@<time_ms>'");
     }
     FaultAction a;
-    if (!parse_number(at.substr(1), &a.time)) {
+    if (!parse_number(at.substr(1), &a.time) || a.time < 0) {
       return fail(error, line_no, "bad time '" + at + "'");
     }
     std::string verb;
@@ -311,20 +321,18 @@ bool parse_fault_plan(const std::string& text, FaultPlan* plan,
       }
     } else if (verb == "link") {
       a.kind = FaultKind::kLink;
-      unsigned long from = 0;
-      unsigned long to = 0;
-      if (!(in >> from >> to)) {
+      if (!read_pid(in, &a.p) || !read_pid(in, &a.q)) {
         return fail(error, line_no, "link needs '<from> <to>'");
       }
-      a.p = static_cast<ProcessId>(from);
-      a.q = static_cast<ProcessId>(to);
       std::string opt;
       while (in >> opt) {
         bool ok = false;
         if (opt.rfind("drop=", 0) == 0) {
-          ok = parse_number(opt.substr(5), &a.drop_prob);
+          ok = parse_number(opt.substr(5), &a.drop_prob) &&
+               a.drop_prob >= 0.0 && a.drop_prob <= 1.0;
         } else if (opt.rfind("delay=", 0) == 0) {
-          ok = parse_number(opt.substr(6), &a.extra_delay_ms);
+          ok = parse_number(opt.substr(6), &a.extra_delay_ms) &&
+               a.extra_delay_ms >= 0.0;
         } else {
           return fail(error, line_no, "unknown link option '" + opt + "'");
         }
@@ -334,23 +342,17 @@ bool parse_fault_plan(const std::string& text, FaultPlan* plan,
       }
     } else if (verb == "flip") {
       a.kind = FaultKind::kFlip;
-      unsigned long from = 0;
-      unsigned long to = 0;
-      if (!(in >> from >> to)) {
+      if (!read_pid(in, &a.p) || !read_pid(in, &a.q)) {
         return fail(error, line_no, "flip needs '<from> <to>'");
       }
-      a.p = static_cast<ProcessId>(from);
-      a.q = static_cast<ProcessId>(to);
       std::string why;
       if (!parse_corrupt_opts(in, &a, &why)) return fail(error, line_no, why);
     } else if (verb == "equivocate" || verb == "scorrupt") {
       a.kind = verb == "equivocate" ? FaultKind::kEquivocate
                                     : FaultKind::kStateCorrupt;
-      unsigned long p = 0;
-      if (!(in >> p)) {
+      if (!read_pid(in, &a.p)) {
         return fail(error, line_no, verb + " needs a process id");
       }
-      a.p = static_cast<ProcessId>(p);
       std::string why;
       if (!parse_corrupt_opts(in, &a, &why)) return fail(error, line_no, why);
       if (a.kind == FaultKind::kEquivocate &&
@@ -373,11 +375,14 @@ bool parse_fault_plan(const std::string& text, FaultPlan* plan,
       } else {
         return fail(error, line_no, "unknown action '" + verb + "'");
       }
-      unsigned long p = 0;
-      if (!(in >> p)) {
+      if (!read_pid(in, &a.p)) {
         return fail(error, line_no, verb + " needs a process id");
       }
-      a.p = static_cast<ProcessId>(p);
+      std::string extra;
+      if (in >> extra) {
+        return fail(error, line_no,
+                    verb + " takes one process id, got extra '" + extra + "'");
+      }
     }
     plan->actions.push_back(std::move(a));
   }

@@ -1,7 +1,7 @@
-// Determinism-flow family, alias resolution. In a deterministic file the
-// alias *uses* fire; the alias declarations themselves are exempt (even the
-// chained `using Ticker = Clock;`), as is the direct std::mt19937 spelling
-// (that literal token is zdc_lint's job, not the alias resolver's).
+// Determinism family: wall clocks, C time calls and raw randomness. In a
+// deterministic file direct spellings fire (even on an alias declaration
+// line) and so do alias *uses*; a use on the alias's own declaration line is
+// exempt (the chained `using Ticker = Clock;`).
 namespace zdc {
 
 using Clock = std::chrono::steady_clock;
@@ -27,5 +27,26 @@ class Sampler {
  private:
   unsigned seed_ = 42;
 };
+
+// C calls fire in free-call position only: the Msg::time() declaration, the
+// m.time() member call and the `arrival_time` identifier stay silent.
+struct Msg {
+  double arrival = 0;
+  double time() const { return arrival; }
+};
+
+long wall_time() { return ::time(nullptr); }
+long cpu_time() { return clock(); }
+long epoch() { return std::chrono::system_clock::now().time_since_epoch(); }
+int c_rand() { return rand(); }
+unsigned device() {
+  std::random_device rd;
+  return rd();
+}
+double near_misses(const Msg& m) {
+  double arrival_time(0);
+  arrival_time += m.time();
+  return arrival_time;
+}
 
 }  // namespace zdc

@@ -1,7 +1,7 @@
-// Suppression grammar. A justified allow on the line above suppresses the
-// finding; a marker without a justification reports allow-needs-reason AND
-// leaves the underlying finding live; an unknown rule name reports
-// unknown-allow; a marker for a *different* rule suppresses nothing.
+// Suppression grammar. A justified allow, on the line above or the same
+// line, suppresses the finding; a reasonless marker reports
+// allow-needs-reason AND leaves the finding live; an unknown rule name
+// reports unknown-allow; a marker for another rule suppresses nothing.
 namespace zdc {
 
 struct Status {
@@ -33,6 +33,10 @@ void unknown_rule() {
 void wrong_rule() {
   // zdc-analyze: allow(recursive-lock): wrong family, suppresses nothing
   make();
+}
+
+void same_line() {
+  make();  // zdc-analyze: allow(discarded-status): same-line form
 }
 
 }  // namespace zdc

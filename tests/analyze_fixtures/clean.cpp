@@ -1,6 +1,7 @@
-// True negatives across all three families: banned names confined to
-// comments, strings and raw strings; a consistent single-mutex class; every
-// Status consumed; ordered iteration feeding an Encoder.
+// True negatives across every family: banned names confined to comments,
+// strings and raw strings, or merely contained in longer identifiers; a
+// consistent single-mutex class; every Status consumed; ordered iteration
+// feeding an Encoder; a lookup on an unordered container.
 namespace zdc {
 
 struct Status {
@@ -40,6 +41,19 @@ class Store {
 void use(Store& store) {
   const Status s = store.put(1, 2);
   if (!s.is_ok()) return;
+}
+
+// rand(), time( and std::cout in a comment are not uses.
+const char* kHelp = "seed defaults to time(nullptr); pipe std::cout to a file";
+const char* kRaw = R"(assert(x) and steady_clock belong to the caller)";
+
+struct Sample {
+  double timestamp = 0;
+  double randomness = 0;
+};
+
+bool find_sample(const std::unordered_map<int, Sample>& idx) {
+  return idx.find(3) != idx.end();
 }
 
 }  // namespace zdc

@@ -1,11 +1,11 @@
-// Unordered-container flow. In a deterministic file, a range-for over an
-// *alias* of an unordered container fires unordered-alias-iter (walk_alias);
-// the direct spelling is zdc_lint's unordered-iter domain and stays silent
-// here (walk_direct). Feeding an Encoder or a fingerprint from inside the
-// loop fires unordered-encode-flow in every file, deterministic or not
-// (encode_unordered, fingerprint_unordered); an ordered map feeding the same
-// Encoder, or an unordered walk feeding a plain counter, stays silent
-// (encode_ordered, count_unordered).
+// Unordered-container flow. In a deterministic file every walk over an
+// unordered container fires unordered-iter: a range-for over a type spelled
+// directly (walk_direct), through an alias (walk_alias) or as a temporary
+// (walk_temporary), and a begin() walk (first_direct, first_alias). Feeding
+// an Encoder or a fingerprint from inside the loop fires
+// unordered-encode-flow in every file (encode_unordered,
+// fingerprint_unordered). An ordered map feeding the same Encoder
+// (encode_ordered) and a lookup (lookup) stay silent everywhere.
 namespace zdc {
 
 using Table = std::unordered_map<int, int>;
@@ -46,6 +46,16 @@ void fingerprint_unordered(std::unordered_set<int>& s) {
 void count_unordered(std::unordered_set<int>& s) {
   long n = 0;
   for (int v : s) n += v;
+}
+
+int first_direct(std::unordered_set<int>& s) { return *s.begin(); }
+int first_alias(Table& t) { return t.begin()->first; }
+bool lookup(std::unordered_map<int, int>& m) { return m.count(7) != 0; }
+
+long walk_temporary() {
+  long n = 0;
+  for (int v : std::unordered_set<int>{1, 2}) n += v;
+  return n;
 }
 
 }  // namespace zdc

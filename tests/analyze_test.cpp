@@ -1,4 +1,4 @@
-// Tests for the zdc_analyze semantic analyzer (tools/analyze_core.*): the
+// Tests for the zdc_analyze static analyzer (tools/analyze_core.*): the
 // lexer's contract on comments, raw strings, preprocessor lines and
 // multi-char punctuation; each check family against a fixture with seeded
 // violations plus near-misses that must stay silent; the lock-order graph
@@ -31,8 +31,8 @@ std::string read_fixture(const std::string& name) {
 using Hits = std::vector<std::pair<int, std::string>>;
 
 /// Analyzes one fixture as a whole program and returns (line, rule) pairs,
-/// sorted. `deterministic` turns on the determinism-flow rules, mirroring a
-/// file living under one of the replay-bit-for-bit directories.
+/// sorted. `deterministic` turns on the determinism rules, mirroring a file
+/// living under one of the replay-bit-for-bit directories.
 Hits hits(const std::string& name, bool deterministic = false,
           LockGraph* graph = nullptr) {
   const std::vector<SourceFile> files = {
@@ -176,15 +176,26 @@ TEST(AnalyzeTest, DiscardedStatus) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism-flow family.
+// Determinism family.
 
 TEST(AnalyzeTest, AliasResolvedClockAndRandom) {
-  // Uses fire (two on one line dedupe); the alias declarations themselves
-  // and the literal std::mt19937 spelling (zdc_lint's domain) stay silent.
+  // Direct spellings fire (23, 40, 43), also on an alias declaration line
+  // (7, 9); alias uses fire (13, 16, 19; two on one line dedupe) except on
+  // an alias's own declaration line (8). C time and RNG calls fire in
+  // free-call position only (38, 39, 41): the time() member declaration, the
+  // m.time() call and the arrival_time identifier stay silent.
   EXPECT_EQ(hits("alias_det.cpp", /*deterministic=*/true),
-            (Hits{{13, "wall-clock-alias"},
-                  {16, "wall-clock-alias"},
-                  {19, "raw-random-alias"}}));
+            (Hits{{7, "wall-clock"},
+                  {9, "raw-random"},
+                  {13, "wall-clock"},
+                  {16, "wall-clock"},
+                  {19, "raw-random"},
+                  {23, "raw-random"},
+                  {38, "wall-time"},
+                  {39, "wall-time"},
+                  {40, "wall-clock"},
+                  {41, "raw-random"},
+                  {43, "raw-random"}}));
 }
 
 TEST(AnalyzeTest, AliasRulesAreScopedToDeterministicFiles) {
@@ -192,13 +203,21 @@ TEST(AnalyzeTest, AliasRulesAreScopedToDeterministicFiles) {
 }
 
 TEST(AnalyzeTest, UnorderedFlow) {
-  // Alias-hidden unordered iteration fires only in deterministic files; the
-  // encode/fingerprint flow fires everywhere. Direct unordered spelling,
-  // ordered containers and plain counters stay silent.
+  // Unordered iteration (range-for or begin(); direct, through the alias or
+  // over a temporary) fires only in deterministic files; the
+  // encode/fingerprint flow fires everywhere. Ordered containers and the
+  // count() lookup stay silent.
   EXPECT_EQ(hits("unordered_flow.cpp", /*deterministic=*/true),
-            (Hits{{20, "unordered-alias-iter"},
+            (Hits{{20, "unordered-iter"},
+                  {25, "unordered-iter"},
+                  {29, "unordered-iter"},
                   {30, "unordered-encode-flow"},
-                  {43, "unordered-encode-flow"}}));
+                  {43, "unordered-encode-flow"},
+                  {43, "unordered-iter"},
+                  {48, "unordered-iter"},
+                  {51, "unordered-iter"},
+                  {52, "unordered-iter"},
+                  {57, "unordered-iter"}}));
   EXPECT_EQ(hits("unordered_flow.cpp", /*deterministic=*/false),
             (Hits{{30, "unordered-encode-flow"},
                   {43, "unordered-encode-flow"}}));
@@ -216,18 +235,29 @@ TEST(AnalyzeTest, CrossFileAliasResolution) {
     out.emplace_back(f.line, f.rule);
   }
   std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, (Hits{{7, "wall-clock-alias"}, {12, "unordered-alias-iter"}}));
+  EXPECT_EQ(out, (Hits{{7, "wall-clock"}, {12, "unordered-iter"}}));
+}
+
+// ---------------------------------------------------------------------------
+// Hygiene family.
+
+TEST(AnalyzeTest, HygieneRules) {
+  // Every analyzed file, deterministic or not (near-misses: hygiene.cpp).
+  const Hits expected = {{7, "bare-assert"}, {8, "std-cout"}};
+  EXPECT_EQ(hits("hygiene.cpp", /*deterministic=*/false), expected);
+  EXPECT_EQ(hits("hygiene.cpp", /*deterministic=*/true), expected);
 }
 
 // ---------------------------------------------------------------------------
 // Suppression grammar.
 
 TEST(AnalyzeTest, AllowMarkers) {
-  // A justified allow suppresses (suppressed()); no marker leaves the
-  // finding live (live()); a reasonless marker reports allow-needs-reason
-  // AND leaves the finding live (reasonless()); an unknown rule name reports
-  // unknown-allow likewise (unknown_rule()); a marker for a different rule
-  // suppresses nothing (wrong_rule()).
+  // A justified allow suppresses, on the line above (suppressed()) or the
+  // same line (same_line()); no marker leaves the finding live (live()); a
+  // reasonless marker reports allow-needs-reason AND leaves the finding live
+  // (reasonless()); an unknown rule name reports unknown-allow likewise
+  // (unknown_rule()); a marker for a different rule suppresses nothing
+  // (wrong_rule()).
   EXPECT_EQ(hits("allow_marker.cpp"),
             (Hits{{20, "discarded-status"},
                   {24, "allow-needs-reason"},
@@ -246,9 +276,10 @@ TEST(AnalyzeTest, AllowFileMarker) {
 // Negative corpus, formatting, directory walk.
 
 TEST(AnalyzeTest, CleanFile) {
-  // Banned names confined to comments/strings/raw strings, a consistent
-  // single-mutex class, every Status consumed, ordered iteration feeding an
-  // Encoder: nothing fires, under either rule scope.
+  // Banned names confined to comments/strings/raw strings or contained in
+  // longer identifiers, a consistent single-mutex class, every Status
+  // consumed, ordered iteration feeding an Encoder, an unordered lookup:
+  // nothing fires, under either rule scope.
   EXPECT_TRUE(hits("clean.cpp", /*deterministic=*/true).empty());
   EXPECT_TRUE(hits("clean.cpp", /*deterministic=*/false).empty());
 }
@@ -260,8 +291,9 @@ TEST(AnalyzeTest, FormatIsStable) {
 
 TEST(AnalyzeTest, RunWalksFixtureTree) {
   // Drive the directory walker over the fixture dir as one whole program:
-  // the seeded lock-order cycle is found, and with no det_dirs configured
-  // none of the determinism-only rules fire.
+  // the seeded lock-order cycle is found, the hygiene rules run without
+  // det_dirs, and with no det_dirs configured none of the determinism-only
+  // rules fire.
   RunConfig cfg;
   cfg.root = ANALYZE_FIXTURE_DIR;
   cfg.analyze_dirs = {"."};
@@ -273,10 +305,12 @@ TEST(AnalyzeTest, RunWalksFixtureTree) {
     files.insert(f.file);
   }
   EXPECT_EQ(rules.count("lock-order-cycle"), 1u) << "seeded cycle not found";
-  EXPECT_EQ(rules.count("wall-clock-alias"), 0u)
-      << "determinism rule fired without det_dirs";
-  EXPECT_EQ(rules.count("raw-random-alias"), 0u);
-  EXPECT_EQ(rules.count("unordered-alias-iter"), 0u);
+  EXPECT_EQ(rules.count("bare-assert"), 1u) << "hygiene rule did not run";
+  for (const char* det_only :
+       {"wall-clock", "wall-time", "raw-random", "unordered-iter"}) {
+    EXPECT_EQ(rules.count(det_only), 0u)
+        << det_only << " fired without det_dirs";
+  }
   bool saw_blocking = false;
   for (const std::string& f : files) {
     saw_blocking |= f.find("blocking_under_lock.cpp") != std::string::npos;

@@ -110,6 +110,18 @@ TEST(FaultPlanText, RejectsMalformedInput) {
       "@1 equivocate 0 byte=2",    // the fabric picks the divergent bytes
       "@1 equivocate 0 bit=3",
       "@1 scorrupt",               // missing process
+      "@nan crash 0",              // times are finite and non-negative
+      "@inf heal",
+      "@-1 heal",
+      "@1 link 0 1 drop=7",        // drop is a probability
+      "@1 link 0 1 drop=nan",
+      "@1 link 0 1 delay=-1",      // delays are finite and non-negative
+      "@1 link 0 1 delay=inf",
+      "@1 flip 0 1 count=-1",      // would wrap to 2^64 - 1
+      "@1 crash -1",               // would wrap to the kNoProcess sentinel
+      "@1 crash 4294967296",       // would wrap to process 0
+      "@1 link -1 0",
+      "@1 crash 0 1",              // one process per single-id verb
   };
   for (const std::string& text : bad) {
     fault::FaultPlan plan;

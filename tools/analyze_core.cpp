@@ -19,11 +19,14 @@
 //                      acquisitions, call sites (receiver/qualifier resolved
 //                      against the model), statement-position calls, direct
 //                      blocking calls, cv waits, range-for loops.
+//   token_sweep()    — per file: the spelling rules (wall clock, C time,
+//                      raw randomness — direct or through an alias — and the
+//                      bare-assert/std-cout hygiene bans).
 //   resolve/report   — phase 3: call resolution (typed receiver + virtual
 //                      fan-out; free calls by own class, else unique name),
 //                      transitive acquires/blocking fixpoints, lock-order
 //                      edges + SCC cycles, discarded-status decisions,
-//                      alias-resolved determinism rules, suppression filter.
+//                      suppression filter.
 
 namespace zdc::analyze {
 
@@ -31,9 +34,10 @@ namespace {
 
 const std::set<std::string>& known_rules() {
   static const std::set<std::string> rules = {
-      "recursive-lock",     "lock-order-cycle",   "blocking-under-lock",
-      "cv-wait-multi-lock", "discarded-status",   "wall-clock-alias",
-      "raw-random-alias",   "unordered-alias-iter", "unordered-encode-flow",
+      "recursive-lock",     "lock-order-cycle", "blocking-under-lock",
+      "cv-wait-multi-lock", "discarded-status", "wall-clock",
+      "wall-time",          "raw-random",       "unordered-iter",
+      "unordered-encode-flow", "bare-assert",   "std-cout",
   };
   return rules;
 }
@@ -46,7 +50,8 @@ bool ident_char(char c) {
 }
 
 // ---------------------------------------------------------------------------
-// Allow markers. Same shape as zdc_lint's, plus allow-file(<rule>).
+// Allow markers: allow(<rule>) covers its own line and the next one,
+// allow-file(<rule>) the whole file.
 
 struct AllowTable {
   std::map<int, std::set<std::string>> by_line;
@@ -1005,10 +1010,24 @@ const std::set<std::string>& clock_types() {
   return s;
 }
 
+const std::set<std::string>& time_calls() {
+  static const std::set<std::string> s = {
+      "time", "clock", "gettimeofday", "clock_gettime", "localtime",
+      "gmtime", "mktime", "ftime", "timespec_get"};
+  return s;
+}
+
 const std::set<std::string>& random_types() {
   static const std::set<std::string> s = {
       "random_device", "mt19937", "mt19937_64", "minstd_rand", "minstd_rand0",
       "default_random_engine", "knuth_b", "ranlux24", "ranlux48"};
+  return s;
+}
+
+const std::set<std::string>& random_calls() {
+  static const std::set<std::string> s = {"rand", "srand", "drand48",
+                                          "lrand48", "mrand48", "random",
+                                          "random_shuffle"};
   return s;
 }
 
@@ -1018,6 +1037,10 @@ const std::set<std::string>& unordered_types() {
                                           "unordered_multiset"};
   return s;
 }
+
+constexpr const char* kUnorderedWhy =
+    " — iteration order is unspecified and breaks replayable schedules; use "
+    "std::map/std::set";
 
 struct CallRec {
   int method = -1;          ///< caller index
@@ -1316,7 +1339,17 @@ struct BodyWalker {
         range.push_back(txt(v));
       } else if (txt(v) != "." && txt(v) != "->" && txt(v) != "::" &&
                  txt(v) != "*") {
-        return;  // computed range — out of scope
+        // A computed range is out of scope, except a freshly built
+        // temporary (`std::unordered_set<int>{...}`), walked just as
+        // unordered as a named one.
+        if (!range.empty() && unordered_types().count(range.back()) != 0 &&
+            (*model.files)[m.file].deterministic) {
+          out.findings.push_back(
+              {path, t[for_idx].line, "unordered-iter",
+               "range-for over a std::" + range.back() + " temporary" +
+                   kUnorderedWhy});
+        }
+        return;
       }
     }
     if (range.empty()) return;
@@ -1339,21 +1372,18 @@ struct BodyWalker {
       if (!ty.empty()) raw = model.member_type(ty, range.back());
     }
     if (raw.empty()) return;
-    int steps = 0;
-    const std::string ground = model.resolve_type(m.file, raw, &steps);
+    const std::string ground = model.resolve_type(m.file, raw);
     if (ground.size() > 2 && ground.rfind("[]") == ground.size() - 2 &&
         !loop_var.empty() && !explicit_type) {
       locals[loop_var] = ground.substr(0, ground.size() - 2);
     }
     if (unordered_types().count(ground) == 0) return;
-    const int line = t[for_idx].line;
-    if (steps > 0 && (*model.files)[m.file].deterministic) {
+    if ((*model.files)[m.file].deterministic) {
       out.findings.push_back(
-          {path, line, "unordered-alias-iter",
-           "range-for over '" + range.back() + "' whose type '" + raw +
-               "' resolves to std::" + ground +
-               " through an alias — iteration order is unspecified and "
-               "breaks replayable schedules"});
+          {path, t[for_idx].line, "unordered-iter",
+           "range-for over '" + range.back() + "' (" +
+               (raw == ground ? "" : raw + " = ") + "std::" + ground + ")" +
+               kUnorderedWhy});
     }
     // Does the loop body feed an Encoder / fingerprint?
     std::size_t body_begin = close + 1;
@@ -1550,8 +1580,8 @@ struct BodyWalker {
     return false;
   }
 
-  /// One identifier in expression context: call detection. (Determinism
-  /// alias rules run once per file in det_alias_sweep, which covers bodies.)
+  /// One identifier in expression context: call detection. (The spelling
+  /// rules run once per file in token_sweep, which covers bodies.)
   void handle_ident(std::size_t k) {
     const std::string& s = txt(k);
     if (txt(k + 1) != "(") return;
@@ -1626,41 +1656,92 @@ struct BodyWalker {
            "blocking call '" + name + "' while holding '" + held_all.back() +
                "' — I/O and sleeps must not run under a mutex"});
     }
+    if ((name == "begin" || name == "cbegin" || name == "rbegin") &&
+        unordered_types().count(c.recv_type) != 0 &&
+        (*model.files)[m.file].deterministic) {
+      out.findings.push_back(
+          {path, c.line, "unordered-iter",
+           "iterator walk over '" + chain.back() + "' (std::" + c.recv_type +
+               ")" + kUnorderedWhy});
+    }
     out.calls.push_back(std::move(c));
   }
 
 };
 
-// Alias *uses* at non-function scope (e.g. member declarations using a bad
-// alias) in det files: a cheap token sweep that skips the alias's own
-// declaration line.
-void det_alias_sweep(const Model& model, int fi, const std::string& path,
-                     std::vector<Finding>* out) {
-  if (!(*model.files)[fi].deterministic) return;
-  // Alias *declarations* are exempt — including a chained one like
-  // `using Ticker = Clock;`, where the right-hand side already resolves
-  // through one step. Only uses outside any alias-declaring line count.
+/// True when t[i] is called as a free function: followed by '(' and neither
+/// a member call (`m.time()`) nor a declaration (`double time() const`). An
+/// identifier before it means a declaration, except return/co_return/
+/// co_yield, which introduce expressions.
+bool free_call(const std::vector<Token>& t, std::size_t i) {
+  if (i + 1 >= t.size() || t[i + 1].text != "(") return false;
+  if (i == 0) return true;
+  const Token& prev = t[i - 1];
+  if (prev.text == "." || prev.text == "->") return false;
+  return prev.kind != Tok::kIdent || prev.text == "return" ||
+         prev.text == "co_return" || prev.text == "co_yield";
+}
+
+// The spelling rules, one token sweep per file. In deterministic files a
+// wall clock, a C time call or raw randomness fires whether spelled directly
+// or reached through a using/typedef chain. An alias *use* on an alias's own
+// declaration line is exempt (`using Ticker = Clock;` is silent); a direct
+// spelling there is not. The hygiene bans run on every file. One finding
+// per (line, rule).
+void token_sweep(const Model& model, int fi, std::vector<Finding>* out) {
+  const SourceFile& file = (*model.files)[fi];
+  const std::vector<Token>& t = model.toks[fi];
   std::set<int> alias_decl_lines;
   for (const auto& [name, alias] : model.file_aliases[fi]) {
     alias_decl_lines.insert(alias.line);
   }
   std::set<std::pair<int, std::string>> seen;
-  for (const Token& tok : model.toks[fi]) {
-    if (tok.kind != Tok::kIdent) continue;
+  auto emit = [&](int line, const std::string& rule, const std::string& msg) {
+    if (seen.insert({line, rule}).second) {
+      out->push_back({file.path, line, rule, msg});
+    }
+  };
+  const std::string seeded =
+      " in deterministic code — all randomness must flow from a seeded "
+      "common::Rng";
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].kind != Tok::kIdent) continue;
+    const std::string& s = t[i].text;
+    const int line = t[i].line;
+    const bool call = free_call(t, i);
+    if (call && s == "assert") {
+      emit(line, "bare-assert",
+           "bare assert() — use ZDC_ASSERT/ZDC_ASSERT_MSG (always on, prints "
+           "node/time context)");
+    } else if (s == "cout") {
+      emit(line, "std-cout", "std::cout — use ZDC_LOG (leveled, thread-safe)");
+    }
+    if (!file.deterministic) continue;
+    if (call && time_calls().count(s) != 0) {
+      emit(line, "wall-time",
+           "C time call '" + s +
+               "()' in deterministic code — wall time breaks seed replay");
+      continue;
+    }
+    if (call && random_calls().count(s) != 0) {
+      emit(line, "raw-random", "'" + s + "()'" + seeded);
+      continue;
+    }
     int steps = 0;
-    const std::string ground = model.resolve_type(fi, tok.text, &steps);
-    if (steps == 0) continue;
+    const std::string ground = model.resolve_type(fi, s, &steps);
     const bool clock = clock_types().count(ground) != 0;
-    const bool random = random_types().count(ground) != 0;
-    if (!clock && !random) continue;
-    if (alias_decl_lines.count(tok.line) != 0) continue;
-    const std::string rule = clock ? "wall-clock-alias" : "raw-random-alias";
-    if (!seen.insert({tok.line, rule}).second) continue;
-    out->push_back(
-        {path, tok.line, rule,
-         "'" + tok.text + "' resolves to '" + ground +
-             "' through a type alias — banned in deterministic code (" +
-             std::string(clock ? "wall clock" : "raw randomness") + ")"});
+    if (!clock && random_types().count(ground) == 0) continue;
+    if (steps > 0 && alias_decl_lines.count(line) != 0) continue;
+    const std::string what =
+        "'" + s + "'" + (steps == 0 ? "" : " (alias of '" + ground + "')");
+    if (clock) {
+      emit(line, "wall-clock",
+           "wall clock " + what +
+               " in deterministic code — simulated time must come from the "
+               "event queue / TimePoint plumbing");
+    } else {
+      emit(line, "raw-random", what + seeded);
+    }
   }
 }
 
@@ -1977,7 +2058,7 @@ std::vector<Finding> analyze(const std::vector<SourceFile>& files,
   }
   std::vector<Finding> findings = std::move(facts.findings);
   for (int fi = 0; fi < static_cast<int>(files.size()); ++fi) {
-    det_alias_sweep(model, fi, files[fi].path, &findings);
+    token_sweep(model, fi, &findings);
   }
 
   // Phase 3a: per-method transitive acquires and blocking.

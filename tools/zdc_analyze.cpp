@@ -1,6 +1,7 @@
-// zdc_analyze CLI: whole-program lock-graph / error-discard / determinism
-// analysis (see analyze_core.h for the check families and docs/ANALYSIS.md
-// for triage). Exit 0 when clean, 1 when findings, 2 on usage errors.
+// zdc_analyze CLI: whole-program lock-graph / error-discard / determinism /
+// hygiene analysis (see analyze_core.h for the check families and
+// docs/ANALYSIS.md for triage). Exit 0 when clean, 1 when findings, 2 on
+// usage errors.
 //
 //   zdc_analyze --root <repo-root>            analyze src/ and tools/
 //   zdc_analyze --root <r> src/storage        analyze only the named dirs

@@ -10,6 +10,7 @@
 //   zdc_explore validate-metrics snapshot.json
 //
 // Run with --help for the full flag reference.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -134,6 +135,50 @@ std::vector<sim::CrashSpec> parse_crashes(const Flags& flags,
   return crashes;
 }
 
+// Protocol name -> true when its constructor asserts one-step resilience
+// (n > 3f), false when it asserts a majority (n > 2f). The consensus table
+// serves consensus and sequence mode, the abcast table abcast and runtime.
+using Protocols = std::map<std::string, bool>;
+const Protocols kConsensusProtocols = {
+    {"l", true},      {"p", true},   {"wab", true}, {"fast-paxos", true},
+    {"brasileiro-l", true}, {"brasileiro-paxos", true},
+    {"paxos", false}, {"ct", false}, {"rec-paxos", false}};
+const Protocols kAbcastProtocols = {
+    {"c-l", true}, {"c-p", true}, {"wabcast", true}, {"paxos", false}};
+
+/// Reads --n/--f (defaults `default_n`/1) for `protocol` and exits 2 on an
+/// unknown protocol, an n outside [1, kNoProcess), f >= n or a group below
+/// the protocol's resilience bound — inputs its constructor would abort on.
+GroupParams checked_group(const Flags& flags, const Protocols& protocols,
+                          const std::string& protocol,
+                          std::uint32_t default_n) {
+  const auto it = protocols.find(protocol);
+  if (it == protocols.end()) {
+    std::fprintf(stderr, "unknown protocol '%s' (see --help)\n",
+                 protocol.c_str());
+    std::exit(2);
+  }
+  const double n = flags.num("n", default_n);
+  const double f = flags.num("f", 1);
+  if (!(n >= 1 && n < kNoProcess)) {  // the casts below must not overflow
+    std::fprintf(stderr, "--n must be in [1, %u)\n", kNoProcess);
+    std::exit(2);
+  }
+  if (!(f >= 0) || f >= n) {
+    std::fprintf(stderr, "--f must be in [0, n) (n=%g, f=%g)\n", n, f);
+    std::exit(2);
+  }
+  const GroupParams group{static_cast<std::uint32_t>(n),
+                          static_cast<std::uint32_t>(f)};
+  const bool one_step = it->second;
+  if (one_step ? !group.one_step_resilient() : !group.majority_resilient()) {
+    std::fprintf(stderr, "%s needs n > %df (n=%u, f=%u)\n", protocol.c_str(),
+                 one_step ? 3 : 2, group.n, group.f);
+    std::exit(2);
+  }
+  return group;
+}
+
 /// Whether `mode` can run plan action `kind`. A plan naming anything else is
 /// refused up front, never aborted mid-run or silently ignored. The abcast
 /// world is crash-stop and runs no corruption: C-Abcast's tag and instance
@@ -147,11 +192,19 @@ bool mode_runs(const std::string& mode, fault::FaultKind kind) {
          kind != fault::FaultKind::kStateCorrupt;
 }
 
+/// Whether every process `a` names is one of the group's n.
+bool names_group_members(const fault::FaultAction& a, std::uint32_t n) {
+  const auto member = [n](ProcessId p) { return p == kNoProcess || p < n; };
+  return member(a.p) && member(a.q) &&
+         std::all_of(a.group.begin(), a.group.end(), member);
+}
+
 /// Loads a nemesis plan from --plan FILE or --plan-text "a;b;c" (';' doubles
 /// as a line separator so a whole plan fits in one shell argument). Exits
-/// with a line-numbered diagnostic on parse errors and on the first action
-/// `mode` cannot run.
-fault::FaultPlan load_plan(const Flags& flags, const std::string& mode) {
+/// with a line-numbered diagnostic on parse errors, on the first action
+/// `mode` cannot run and on the first process id outside a group of `n`.
+fault::FaultPlan load_plan(const Flags& flags, const std::string& mode,
+                           std::uint32_t n) {
   fault::FaultPlan plan;
   std::string text;
   if (flags.has("plan")) {
@@ -183,12 +236,19 @@ fault::FaultPlan load_plan(const Flags& flags, const std::string& mode) {
   std::string line;
   for (std::size_t line_no = 1; std::getline(lines, line); ++line_no) {
     fault::FaultPlan one;
-    if (fault::parse_fault_plan(line, &one, &error) && !one.empty() &&
-        !mode_runs(mode, one.actions[0].kind)) {
+    if (!fault::parse_fault_plan(line, &one, &error) || one.empty()) continue;
+    if (!mode_runs(mode, one.actions[0].kind)) {
       std::fprintf(stderr,
                    "bad fault plan: line %zu: %s mode cannot run '%s'\n",
                    line_no, mode.c_str(),
                    fault::fault_kind_name(one.actions[0].kind));
+      std::exit(2);
+    }
+    if (!names_group_members(one.actions[0], n)) {
+      std::fprintf(stderr,
+                   "bad fault plan: line %zu: process id out of range for "
+                   "n=%u\n",
+                   line_no, n);
       std::exit(2);
     }
   }
@@ -229,14 +289,14 @@ int emit_metrics(const obs::MetricsRegistry& registry, const Flags& flags) {
 }
 
 int run_consensus_mode(const Flags& flags) {
+  const std::string protocol = flags.get("protocol", "l");
   sim::ConsensusRunConfig cfg;
-  cfg.group.n = static_cast<std::uint32_t>(flags.num("n", 4));
-  cfg.group.f = static_cast<std::uint32_t>(flags.num("f", 1));
+  cfg.group = checked_group(flags, kConsensusProtocols, protocol, 4);
   cfg.seed = static_cast<std::uint64_t>(flags.num("seed", 1));
   cfg.net = sim::calibrated_lan_2006();
   cfg.fd = parse_fd(flags);
   cfg.crashes = parse_crashes(flags, cfg.group.n);
-  cfg.fault_plan = load_plan(flags, "consensus");
+  cfg.fault_plan = load_plan(flags, "consensus", cfg.group.n);
 
   if (flags.has("proposals")) {
     cfg.proposals = split(flags.get("proposals", ""), ',');
@@ -255,7 +315,6 @@ int run_consensus_mode(const Flags& flags) {
   obs::MetricsRegistry registry;
   if (wants_metrics(flags)) cfg.metrics = &registry;
 
-  const std::string protocol = flags.get("protocol", "l");
   auto r = sim::run_consensus(cfg, sim::consensus_factory_by_name(protocol));
 
   std::printf("protocol=%s n=%u f=%u seed=%llu\n", protocol.c_str(),
@@ -297,22 +356,20 @@ int run_consensus_mode(const Flags& flags) {
 }
 
 int run_abcast_mode(const Flags& flags) {
+  const std::string protocol = flags.get("protocol", "c-l");
   sim::AbcastRunConfig cfg;
-  cfg.group.n = static_cast<std::uint32_t>(flags.num("n", 4));
-  cfg.group.f = static_cast<std::uint32_t>(flags.num("f", 1));
+  cfg.group = checked_group(flags, kAbcastProtocols, protocol,
+                            protocol == "paxos" ? 3 : 4);
   cfg.seed = static_cast<std::uint64_t>(flags.num("seed", 1));
   cfg.net = sim::calibrated_lan_2006();
   cfg.fd = parse_fd(flags);
   cfg.crashes = parse_crashes(flags, cfg.group.n);
-  cfg.fault_plan = load_plan(flags, "abcast");
+  cfg.fault_plan = load_plan(flags, "abcast", cfg.group.n);
   cfg.throughput_per_s = flags.num("throughput", 100);
   cfg.message_count = static_cast<std::uint32_t>(flags.num("messages", 400));
 
   obs::MetricsRegistry registry;
   if (wants_metrics(flags)) cfg.metrics = &registry;
-
-  const std::string protocol = flags.get("protocol", "c-l");
-  if (protocol == "paxos" && !flags.has("n")) cfg.group = GroupParams{3, 1};
 
   auto r = sim::run_abcast(cfg, sim::abcast_factory_by_name(protocol));
   std::printf("protocol=%s n=%u throughput=%.0f/s messages=%u seed=%llu\n",
@@ -338,10 +395,10 @@ int run_abcast_mode(const Flags& flags) {
 }
 
 int run_sequence_mode(const Flags& flags) {
-  load_plan(flags, "sequence");  // refuses any plan
+  const std::string protocol = flags.get("protocol", "l");
   sim::SequenceConfig cfg;
-  cfg.group.n = static_cast<std::uint32_t>(flags.num("n", 4));
-  cfg.group.f = static_cast<std::uint32_t>(flags.num("f", 1));
+  cfg.group = checked_group(flags, kConsensusProtocols, protocol, 4);
+  load_plan(flags, "sequence", cfg.group.n);  // refuses any plan
   cfg.seed = static_cast<std::uint64_t>(flags.num("seed", 1));
   cfg.net = sim::calibrated_lan_2006();
   cfg.fd.mode = sim::FdMode::kCrashTracking;
@@ -350,6 +407,11 @@ int run_sequence_mode(const Flags& flags) {
   cfg.divergent_proposals = !flags.has("unanimous");
   if (flags.has("crash-before")) {
     cfg.crash_process = static_cast<ProcessId>(flags.num("crash-process", 0));
+    if (cfg.crash_process >= cfg.group.n) {
+      std::fprintf(stderr, "crash process %u out of range\n",
+                   cfg.crash_process);
+      return 2;
+    }
     cfg.crash_before_instance =
         static_cast<std::uint32_t>(flags.num("crash-before", 0));
   }
@@ -357,7 +419,6 @@ int run_sequence_mode(const Flags& flags) {
   obs::MetricsRegistry registry;
   if (wants_metrics(flags)) cfg.metrics = &registry;
 
-  const std::string protocol = flags.get("protocol", "l");
   auto r =
       sim::run_consensus_sequence(cfg, sim::consensus_factory_by_name(protocol));
   std::printf("protocol=%s instances=%u%s\n", protocol.c_str(), cfg.instances,
@@ -383,8 +444,9 @@ int run_sequence_mode(const Flags& flags) {
 }
 
 int run_runtime_mode(const Flags& flags) {
-  load_plan(flags, "runtime");  // refuses any plan
   const std::string protocol = flags.get("protocol", "c-l");
+  const GroupParams group = checked_group(flags, kAbcastProtocols, protocol, 4);
+  load_plan(flags, "runtime", group.n);  // refuses any plan
   runtime::ProtocolKind kind;
   if (protocol == "c-l") {
     kind = runtime::ProtocolKind::kCAbcastL;
@@ -392,17 +454,12 @@ int run_runtime_mode(const Flags& flags) {
     kind = runtime::ProtocolKind::kCAbcastP;
   } else if (protocol == "wabcast") {
     kind = runtime::ProtocolKind::kWabcast;
-  } else if (protocol == "paxos") {
+  } else {  // "paxos": checked_group refused every other name
     kind = runtime::ProtocolKind::kPaxos;
-  } else {
-    std::fprintf(stderr, "unknown runtime protocol '%s' (c-l c-p wabcast paxos)\n",
-                 protocol.c_str());
-    return 2;
   }
 
   zdc::RunOptions opts;
-  opts.with_group(static_cast<std::uint32_t>(flags.num("n", 4)),
-                  static_cast<std::uint32_t>(flags.num("f", 1)))
+  opts.with_group(group.n, group.f)
       .with_seed(static_cast<std::uint64_t>(flags.num("seed", 1)));
   obs::MetricsRegistry registry;
   opts.with_metrics(&registry);  // runtime metrics are always collected
