@@ -1,12 +1,15 @@
 // bench_hotpath — the hot-path perf-regression harness (docs/PERF.md).
 //
-// Three measurements, one machine-readable JSON artifact:
+// Four measurements, one machine-readable JSON artifact:
 //
 //   1. codec: encode_msg_set-shaped frames through the allocation-lean
 //      Encoder — reports encoded MB/s;
-//   2. event-queue: schedule/run churn through the pooled event store —
+//   2. crc32c: common::crc32c over a 1 MiB buffer, the checksum every WAL
+//      frame, snapshot file and wire seal carries — reports MB/s in the
+//      encoded_mb_per_s column;
+//   3. event-queue: schedule/run churn through the pooled event store —
 //      reports events/s;
-//   3. end-to-end: a small latency-vs-throughput sweep of the batched
+//   4. end-to-end: a small latency-vs-throughput sweep of the batched
 //      C-Abcast and Paxos-Abcast stacks — reports mean/p95 latency and
 //      simulated events per wall second.
 //
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "common/codec.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "sim/abcast_world.h"
 #include "sim/event_queue.h"
@@ -80,7 +84,24 @@ double bench_codec(const BatchFixture& fx, std::uint64_t iters) {
 }
 
 // ---------------------------------------------------------------------------
-// Micro 2: event-queue schedule/run churn with simulator-shaped handlers.
+// Micro 2: CRC32C throughput over one large buffer (a checkpoint-sized pass).
+
+double bench_crc32c(std::size_t bytes, std::uint64_t iters) {
+  std::string buf(bytes, '\0');
+  common::Rng rng(7);
+  for (char& c : buf) c = static_cast<char>(rng.next_u64());
+  // Each pass continues from the last result, so no pass can be skipped.
+  std::uint32_t crc = common::crc32c(buf);  // untimed warmup (first touch)
+  const double t0 = now_s();
+  for (std::uint64_t i = 0; i < iters; ++i) crc = common::crc32c(buf, crc);
+  const double dt = now_s() - t0;
+  volatile std::uint32_t sink = crc;
+  (void)sink;
+  return static_cast<double>(bytes) * static_cast<double>(iters) / dt / 1e6;
+}
+
+// ---------------------------------------------------------------------------
+// Micro 3: event-queue schedule/run churn with simulator-shaped handlers.
 //
 // Each handler captures what a transport-delivery event captures: an object
 // pointer, two ids and a shared_ptr payload (~32 bytes) — over std::function's
@@ -397,7 +418,15 @@ int run(int argc, char** argv) {
     rows.push_back(Row{"codec", 0, 0, 0, 0, mb_per_s, seed_base});
   }
 
-  // Micro 2: event queue.
+  // Micro 2: CRC32C over 1 MiB.
+  {
+    const std::uint64_t iters = quick ? 20 : 400;
+    const double mb_per_s = bench_crc32c(1 << 20, iters);
+    std::printf("crc32c         %8.1f MB/s\n", mb_per_s);
+    rows.push_back(Row{"crc32c", 0, 0, 0, 0, mb_per_s, seed_base});
+  }
+
+  // Micro 3: event queue.
   {
     const std::uint64_t events = quick ? 200'000 : 4'000'000;
     const std::size_t width = 1000;  // steady-state queue depth

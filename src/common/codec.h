@@ -103,13 +103,17 @@ class Decoder {
 
   bool get_bool() { return get_u8() != 0; }
 
-  std::string get_string() {
-    std::uint32_t len = get_u32();
+  std::string get_string() { return std::string(get_view()); }
+
+  /// get_string() without the copy: a view into the decoded buffer, valid
+  /// only as long as that buffer is.
+  std::string_view get_view() {
+    const std::uint32_t len = get_u32();
     // The length prefix is validated against remaining() *before* any
     // allocation: a crafted frame claiming a multi-GB string poisons the
     // decoder instead of driving a huge reserve.
     if (!check(len)) return {};
-    std::string out(data_.substr(pos_, len));
+    const std::string_view out = data_.substr(pos_, len);
     pos_ += len;
     return out;
   }

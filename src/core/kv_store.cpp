@@ -89,7 +89,9 @@ std::string KvStateMachine::snapshot() const {
 std::string KvStateMachine::serialize() const {
   // Canonical: entry count followed by the (key, value) pairs in key order
   // (std::map iteration order), so equal states serialize to equal bytes.
-  common::Encoder enc;
+  std::size_t bytes = 8;
+  for (const auto& [k, v] : data_) bytes += 8 + k.size() + v.size();
+  common::Encoder enc(bytes);
   enc.put_u64(data_.size());
   for (const auto& [k, v] : data_) {
     enc.put_string(k);
@@ -103,10 +105,13 @@ bool KvStateMachine::restore(const std::string& image) {
   const std::uint64_t count = dec.get_u64();
   std::map<std::string, std::string> next;
   for (std::uint64_t i = 0; i < count && dec.ok(); ++i) {
-    std::string key = dec.get_string();
-    std::string value = dec.get_string();
+    const std::string_view key = dec.get_view();
+    const std::string_view value = dec.get_view();
     if (!dec.ok()) break;
-    next.emplace(std::move(key), std::move(value));
+    // A canonical image lists keys in ascending order, so every entry
+    // belongs at end() and the hint saves the tree descent. Any other
+    // order still restores; a duplicate key fails the size check below.
+    next.emplace_hint(next.end(), key, value);
   }
   if (!dec.done() || next.size() != count) return false;
   data_ = std::move(next);

@@ -67,7 +67,7 @@ std::uint64_t ReplicaGroup::restart(ProcessId p) {
     common::MutexLock lock(mu_);
     replicas_[p] = fresh;
   }
-  cluster_->network().restart(p);
+  cluster_->restart(p);
   schedule_ack_beacon(p);
   schedule_recovery_poll(p);
   return recovered;

@@ -80,7 +80,7 @@ class ReplicaGroup {
 
   /// Kill-9 reboot of p: reopens its storage through the kept factory,
   /// recovers the WAL prefix into a fresh machine, rejoins the transport
-  /// and starts catch-up. Returns the recovered applied prefix. Call only
+  /// (heartbeats resume, so peers stop suspecting p) and starts catch-up. Returns the recovered applied prefix. Call only
   /// after crash(p) has settled (in-flight handlers drained).
   std::uint64_t restart(ProcessId p);
 

@@ -214,6 +214,15 @@ void RuntimeCluster::start() {
   for (auto& node : nodes_) node->start();
 }
 
+void RuntimeCluster::restart(ProcessId p) {
+  if (!net_->crashed(p)) return;
+  net_->restart(p);
+  // The wipe took the dead incarnation's timers, the heartbeat tick with
+  // them; re-arm it where the failure detector lives.
+  RuntimeNode* node = nodes_[p].get();
+  net_->schedule(p, 0.0, [node] { node->restart_on_worker(); });
+}
+
 void RuntimeCluster::shutdown() {
   if (net_ != nullptr) net_->shutdown();
 }

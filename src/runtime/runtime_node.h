@@ -54,6 +54,11 @@ class RuntimeNode {
   /// Arms the failure detector. Call after InprocNetwork::start().
   void start();
 
+  /// Re-arms the failure detector after the transport restarted this
+  /// process: the tick timer died with the crashed incarnation. Call on
+  /// this node's worker thread (RuntimeCluster::restart does).
+  void restart_on_worker() { fd_->restart_on_worker(); }
+
   /// Thread-safe: marshals the a-broadcast onto the node's worker thread.
   void a_broadcast(std::string payload);
 
@@ -138,6 +143,10 @@ class RuntimeCluster {
   RuntimeNode& node(ProcessId p) { return *nodes_[p]; }
   Transport& network() { return *net_; }
   void crash(ProcessId p) { net_->crash(p); }
+  /// Brings a crashed p back: its transport restarts with an empty inbox
+  /// and its heartbeats resume, so peers stop suspecting it. No-op unless
+  /// p is crashed.
+  void restart(ProcessId p);
 
   /// Per-process stable storage, built from Config::storage_factory at
   /// construction (null when no factory is configured). The object survives

@@ -12,13 +12,6 @@ namespace zdc::storage {
 namespace {
 
 /// WAL record payload: length-prefixed key then length-prefixed value.
-std::string encode_kv(const std::string& key, const std::string& bytes) {
-  common::Encoder enc(8 + key.size() + bytes.size());
-  enc.put_string(key);
-  enc.put_string(bytes);
-  return enc.take();
-}
-
 bool decode_kv(std::string_view payload, std::string* key, std::string* bytes) {
   common::Decoder dec(payload);
   *key = dec.get_string();
@@ -156,10 +149,15 @@ Status DurableStableStorage::latch_locked(Status s) {
 }
 
 void DurableStableStorage::append_record_locked(const std::string& key,
-                                                const std::string& bytes) {
+                                                std::string bytes) {
   if (!status_.is_ok()) return;
-  if (!latch_locked(wal_->append(encode_kv(key, bytes))).is_ok()) return;
-  data_[key] = bytes;
+  // The record (decode_kv's layout) is framed straight from `bytes`: only
+  // the key and the two length prefixes are encoded separately.
+  common::Encoder head(8 + key.size());
+  head.put_string(key);
+  head.put_u32(static_cast<std::uint32_t>(bytes.size()));
+  if (!latch_locked(wal_->append(head.bytes(), bytes)).is_ok()) return;
+  data_[key] = std::move(bytes);
   if (options_.compact_after_bytes > 0 &&
       wal_->appended_bytes() - bytes_at_last_compact_ >=
           options_.compact_after_bytes) {
@@ -170,7 +168,7 @@ void DurableStableStorage::append_record_locked(const std::string& key,
 
 void DurableStableStorage::put(const std::string& key, std::string bytes) {
   common::MutexLock lock(mu_);
-  append_record_locked(key, bytes);
+  append_record_locked(key, std::move(bytes));
   // zdc-analyze: allow(discarded-status): latch_locked stores the Status in status_ (sticky); put() reports failures through the latched getter, not a return value
   if (status_.is_ok()) latch_locked(wal_->sync());
 }
@@ -178,7 +176,7 @@ void DurableStableStorage::put(const std::string& key, std::string bytes) {
 void DurableStableStorage::put_nosync(const std::string& key,
                                       std::string bytes) {
   common::MutexLock lock(mu_);
-  append_record_locked(key, bytes);
+  append_record_locked(key, std::move(bytes));
 }
 
 void DurableStableStorage::sync() {

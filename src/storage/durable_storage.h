@@ -90,7 +90,7 @@ class DurableStableStorage final : public common::StableStorage {
                        DurableStorageOptions options) noexcept
       : env_(env), dir_(std::move(dir)), options_(options) {}
 
-  void append_record_locked(const std::string& key, const std::string& bytes)
+  void append_record_locked(const std::string& key, std::string bytes)
       ZDC_REQUIRES(mu_);
   Status compact_locked() ZDC_REQUIRES(mu_);
   /// Latches the first non-ok status; returns it for chaining.

@@ -45,15 +45,18 @@ bool Wal::parse_segment_name(const std::string& name, std::uint64_t* index) {
   return true;
 }
 
-std::string Wal::encode_frame(std::string_view payload) {
-  common::Encoder enc(kFrameHeaderBytes + payload.size());
+std::string Wal::encode_frame(std::string_view payload,
+                              std::string_view tail) {
+  const std::size_t len = payload.size() + tail.size();
+  common::Encoder enc(kFrameHeaderBytes + len);
   enc.put_u32(0);  // crc placeholder, patched below
-  enc.put_u32(static_cast<std::uint32_t>(payload.size()));
+  enc.put_u32(static_cast<std::uint32_t>(len));
   enc.put_raw(payload);
+  enc.put_raw(tail);
   std::string frame = enc.take();
   // CRC covers the len field and the payload, never the crc field itself.
-  const std::uint32_t crc = common::crc32c(
-      std::string_view(frame).substr(4, 4 + payload.size()));
+  const std::uint32_t crc =
+      common::crc32c(std::string_view(frame).substr(4, 4 + len));
   common::Encoder patch(4);
   patch.put_u32(crc);
   frame.replace(0, 4, patch.bytes());
@@ -180,8 +183,8 @@ Status Wal::open_writer(bool truncate) {
   return env_.new_writable(path, truncate, &file_);
 }
 
-Status Wal::append(std::string_view payload) {
-  const std::string frame = encode_frame(payload);
+Status Wal::append(std::string_view payload, std::string_view tail) {
+  const std::string frame = encode_frame(payload, tail);
   if (segment_size_ > 0 &&
       segment_size_ + frame.size() > options_.segment_bytes) {
     const Status s = roll();

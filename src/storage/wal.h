@@ -72,8 +72,12 @@ class Wal {
                                    WalRecoveryInfo* info = nullptr);
 
   /// Appends one framed record (rolling first if the segment is full).
-  /// Durable only after the next sync().
-  [[nodiscard]] Status append(std::string_view payload);
+  /// Durable only after the next sync(). The record's payload is `payload`
+  /// followed by `tail`: a caller whose record ends in a large buffer it
+  /// already holds passes that buffer as `tail`, and the frame is built
+  /// from it directly, with no concatenated copy in between.
+  [[nodiscard]] Status append(std::string_view payload,
+                              std::string_view tail = {});
 
   /// Durability barrier. No-op (and not counted) when nothing is unsynced.
   [[nodiscard]] Status sync();
@@ -96,9 +100,10 @@ class Wal {
   static std::string segment_name(std::uint64_t index);
   static bool parse_segment_name(const std::string& name, std::uint64_t* index);
 
-  /// Frames `payload` exactly as append() writes it (snapshot files reuse
-  /// the frame so they are self-checking too).
-  static std::string encode_frame(std::string_view payload);
+  /// Frames `payload` + `tail` exactly as append() writes it (snapshot
+  /// files reuse the frame so they are self-checking too).
+  static std::string encode_frame(std::string_view payload,
+                                  std::string_view tail = {});
 
   /// Parses the frame at `pos`. On success advances `*next_pos` past it and
   /// points `*payload` into `data`. Returns false on truncation or CRC

@@ -12,7 +12,8 @@
 //   5. End to end on the threaded runtime: kill -9 a replica mid-workload,
 //      outrun its retention window, restart it through the kept factory and
 //      watch it recover its WAL prefix, install a peer snapshot and
-//      converge to byte-equal digests.
+//      converge to byte-equal digests; and after the restart its peers
+//      stop suspecting it (its heartbeats resume).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -655,6 +656,46 @@ TEST(ReplicaGroupE2E, ShortOutageCatchesUpViaEntriesAlone) {
   for (ProcessId p = 0; p < 4; ++p) {
     EXPECT_EQ(group.digest(p), group.digest(0)) << "replica " << p;
   }
+}
+
+// A restarted replica must heartbeat again. The crash wiped its timers,
+// the failure detector's tick among them; unless the restart re-arms it,
+// every live peer keeps suspecting the replica forever.
+TEST(ReplicaGroupE2E, RestartedReplicaIsNoLongerSuspected) {
+  constexpr ProcessId kVictim = 3;
+  Disks disks(4);
+  const auto opts =
+      zdc::RunOptions{}.with_group(4, 1).with_seed(11).with_storage(
+          disks.factory());
+  ReplicaGroup group(
+      opts, [](ProcessId) { return std::make_unique<core::KvStateMachine>(); },
+      small_windows());
+  group.start();
+  for (std::uint64_t i = 1; i <= 5; ++i) group.submit(0, workload_cmd(i));
+  ASSERT_TRUE(runtime::RuntimeCluster::wait_until(
+      [&] { return group.applied(kVictim) >= 5; }, 20000.0));
+
+  const auto peers_suspecting_victim = [&] {
+    int count = 0;
+    for (ProcessId p = 0; p < 4; ++p) {
+      if (p != kVictim &&
+          group.cluster().node(p).failure_detector().suspects(kVictim)) {
+        ++count;
+      }
+    }
+    return count;
+  };
+  group.crash(kVictim);
+  ASSERT_TRUE(runtime::RuntimeCluster::wait_until(
+      [&] { return peers_suspecting_victim() == 3; }, 20000.0))
+      << "every live peer must detect the crash";
+
+  static_cast<void>(group.restart(kVictim));
+  EXPECT_TRUE(runtime::RuntimeCluster::wait_until(
+      [&] { return peers_suspecting_victim() == 0; }, 5000.0))
+      << peers_suspecting_victim()
+      << " live peers still suspect the restarted replica";
+  group.shutdown();
 }
 
 }  // namespace
