@@ -42,7 +42,7 @@ int main() {
     for (ProcessId p = 0; p < 3; ++p) {
       HeartbeatFd* fd = fds[p].get();
       net.set_handler(p, [fd](const Delivery& d) {
-        if (d.channel == Channel::kHeartbeat) fd->on_heartbeat(d.from);
+        if (d.channel == Channel::kHeartbeat) fd->on_heartbeat(d.from, d.bytes);
       });
     }
     net.start();

@@ -23,12 +23,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_artifact.h"
 #include "common/codec.h"
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -188,224 +188,38 @@ Row run_e2e(const std::string& protocol, double throughput,
 }
 
 // ---------------------------------------------------------------------------
-// JSON emission.
+// The artifact.
 
-void append_json_row(std::string* out, const Row& row, bool last) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"protocol\": \"%s\", \"throughput\": %.1f, "
-                "\"mean_latency_ms\": %.4f, \"p95_latency_ms\": %.4f, "
-                "\"events_per_s\": %.1f, \"encoded_mb_per_s\": %.2f, "
-                "\"seed\": %llu}%s\n",
-                row.protocol.c_str(), row.throughput, row.mean_latency_ms,
-                row.p95_latency_ms, row.events_per_s, row.encoded_mb_per_s,
-                static_cast<unsigned long long>(row.seed), last ? "" : ",");
-  *out += buf;
+Value to_object(const Row& row) {
+  return object({{"protocol", str(row.protocol)},
+                 {"throughput", fixed(row.throughput, 1)},
+                 {"mean_latency_ms", fixed(row.mean_latency_ms, 4)},
+                 {"p95_latency_ms", fixed(row.p95_latency_ms, 4)},
+                 {"events_per_s", fixed(row.events_per_s, 1)},
+                 {"encoded_mb_per_s", fixed(row.encoded_mb_per_s, 2)},
+                 {"seed", integer(row.seed)}});
 }
 
-std::string to_json(const std::vector<Row>& rows, bool quick,
-                    std::uint64_t seed_base) {
-  std::string out = "{\n  \"schema\": \"zdc-bench-hotpath-v1\",\n";
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "  \"quick\": %s,\n  \"seed_base\": %llu,\n",
-                quick ? "true" : "false",
-                static_cast<unsigned long long>(seed_base));
-  out += buf;
-  out += "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    append_json_row(&out, rows[i], i + 1 == rows.size());
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// JSON validation: a minimal parser for the subset this bench emits, strict
-// enough to catch truncated files, missing keys and type confusion.
-
-struct JsonParser {
-  const char* p;
-  const char* end;
-  bool fail = false;
-
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\n' || *p == '\t' || *p == '\r')) {
-      ++p;
-    }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    fail = true;
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  std::string parse_string() {
-    skip_ws();
-    if (p >= end || *p != '"') {
-      fail = true;
-      return {};
-    }
-    ++p;
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        fail = true;  // the bench never emits escapes
-        return {};
-      }
-      s += *p++;
-    }
-    if (!consume('"')) return {};
-    return s;
-  }
-  double parse_number() {
-    skip_ws();
-    char* after = nullptr;
-    const double v = std::strtod(p, &after);
-    if (after == p) {
-      fail = true;
-      return 0;
-    }
-    p = after;
-    return v;
-  }
-  bool parse_bool() {
-    skip_ws();
-    if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-      p += 4;
-      return true;
-    }
-    if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-      p += 5;
-      return false;
-    }
-    fail = true;
-    return false;
-  }
-};
-
-/// Returns an empty string when `text` conforms to the schema, else a
-/// one-line diagnostic.
-std::string validate_json(const std::string& text) {
-  JsonParser j{text.data(), text.data() + text.size()};
-  if (!j.consume('{')) return "not a JSON object";
-
-  bool saw_schema = false;
-  bool saw_rows = false;
-  std::size_t row_count = 0;
-  for (;;) {
-    const std::string key = j.parse_string();
-    if (j.fail) return "bad key";
-    if (!j.consume(':')) return "missing ':' after " + key;
-    if (key == "schema") {
-      const std::string v = j.parse_string();
-      if (v != "zdc-bench-hotpath-v1") return "unknown schema '" + v + "'";
-      saw_schema = true;
-    } else if (key == "quick") {
-      j.parse_bool();
-    } else if (key == "seed_base") {
-      j.parse_number();
-    } else if (key == "rows") {
-      saw_rows = true;
-      if (!j.consume('[')) return "rows is not an array";
-      while (!j.peek(']')) {
-        if (!j.consume('{')) return "row is not an object";
-        bool has[7] = {};
-        static const char* kKeys[7] = {
-            "protocol",     "throughput",       "mean_latency_ms",
-            "p95_latency_ms", "events_per_s",   "encoded_mb_per_s",
-            "seed"};
-        while (!j.peek('}')) {
-          const std::string rk = j.parse_string();
-          if (!j.consume(':')) return "row missing ':'";
-          if (rk == "protocol") {
-            if (j.parse_string().empty()) return "empty protocol";
-          } else {
-            j.parse_number();
-          }
-          if (j.fail) return "bad value for row key " + rk;
-          for (int i = 0; i < 7; ++i) {
-            if (rk == kKeys[i]) has[i] = true;
-          }
-          if (!j.peek('}')) {
-            if (!j.consume(',')) return "row missing ','";
-          }
-        }
-        j.consume('}');
-        for (int i = 0; i < 7; ++i) {
-          if (!has[i]) return std::string("row missing key ") + kKeys[i];
-        }
-        ++row_count;
-        if (!j.peek(']')) {
-          if (!j.consume(',')) return "rows missing ','";
-        }
-      }
-      j.consume(']');
-    } else {
-      return "unknown key '" + key + "'";
-    }
-    if (j.fail) return "parse failure after key " + key;
-    if (j.peek('}')) break;
-    if (!j.consume(',')) return "missing ',' between keys";
-  }
-  j.consume('}');
-  j.skip_ws();
-  if (j.p != j.end) return "trailing garbage";
-  if (!saw_schema) return "missing schema";
-  if (!saw_rows) return "missing rows";
-  if (row_count == 0) return "rows is empty";
-  return {};
-}
-
-int validate_file(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "validate: cannot open %s\n", path);
-    return 1;
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, got);
-  std::fclose(f);
-  const std::string err = validate_json(text);
-  if (!err.empty()) {
-    std::fprintf(stderr, "validate: %s: %s\n", path, err.c_str());
-    return 1;
-  }
-  std::printf("validate: %s conforms to zdc-bench-hotpath-v1\n", path);
-  return 0;
-}
+constexpr Key kScalars[] = {{"schema", Kind::kString},
+                            {"quick", Kind::kBool},
+                            {"seed_base", Kind::kNumber}};
+constexpr Key kRowKeys[] = {
+    {"protocol", Kind::kString},        {"throughput", Kind::kNumber},
+    {"mean_latency_ms", Kind::kNumber}, {"p95_latency_ms", Kind::kNumber},
+    {"events_per_s", Kind::kNumber},    {"encoded_mb_per_s", Kind::kNumber},
+    {"seed", Kind::kNumber}};
+constexpr ArraySpec kArrays[] = {{"rows", kRowKeys, true}};
+const Artifact kArtifact{"bench_hotpath", "zdc-bench-hotpath-v1",
+                         "BENCH_hotpath.json", true, kScalars, kArrays};
 
 // ---------------------------------------------------------------------------
 
 int run(int argc, char** argv) {
-  bool quick = false;
-  const char* out_path = "BENCH_hotpath.json";
-  std::uint64_t seed_base = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed_base = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--validate" && i + 1 < argc) {
-      return validate_file(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_hotpath [--quick] [--out FILE] [--seed N] | "
-                   "--validate FILE\n");
-      return 2;
-    }
-  }
+  Options opts;
+  const int status = parse_flags(kArtifact, argc, argv, &opts);
+  if (status >= 0) return status;
+  const bool quick = opts.quick;
+  const std::uint64_t seed_base = opts.seed;
 
   std::vector<Row> rows;
 
@@ -452,22 +266,13 @@ int run(int argc, char** argv) {
     }
   }
 
-  const std::string json = to_json(rows, quick, seed_base);
-  const std::string err = validate_json(json);
-  if (!err.empty()) {
-    std::fprintf(stderr, "emitted JSON fails own validation: %s\n",
-                 err.c_str());
-    return 1;
-  }
-  std::FILE* f = std::fopen(out_path, "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s (%zu rows)\n", out_path, rows.size());
-  return 0;
+  Rows out;
+  for (const Row& row : rows) out.push_back(to_object(row));
+  const Value doc = object({{"schema", str(kArtifact.schema)},
+                            {"quick", boolean(quick)},
+                            {"seed_base", integer(seed_base)},
+                            {"rows", list(std::move(out))}});
+  return write_artifact(kArtifact, doc, opts.out);
 }
 
 }  // namespace

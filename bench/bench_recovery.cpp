@@ -1,25 +1,8 @@
-// Recovery-cost experiment, in two parts.
+// Recovery-cost experiment, in two parts. (The protocol-level series of
+// repeated consensus across a mid-sequence crash, the paper's Sec. 1
+// motivation, is the "recovery" experiment of bench_paper.)
 //
-// Part 1 (the paper's Sec. 1 motivation, after Dutta et al.'s "The Overhead
-// of Consensus Recovery"): consensus is executed as a back-to-back sequence
-// of instances; a crash during instance k propagates as an *initial* failure
-// into every later instance. The per-instance latency series shows which
-// protocols pay a one-time recovery blip and which are degraded forever.
-//
-// Expected series (divergent proposals, crash of p0 before instance 6,
-// crash-tracking FD with a short detection delay):
-//   L-/P-Consensus : 2 steps before, a blip while the FD converges, 2 steps
-//                    after — zero-degradation (Def. 3).
-//   CT             : 3 steps always (never better; the wasted p0 round after
-//                    the crash costs ~no time once ◇S is stable).
-//   single Paxos   : 2 steps before, 4 steps *forever after* — ballot 0 is
-//                    owned by the dead p0, so every instance pays phase 1;
-//                    this is exactly the permanent degradation repeated
-//                    consensus suffers without zero-degradation (Multi-Paxos
-//                    amortizes it, which is what Table 1 assumes).
-//   Brasileiro     : 3 steps always on divergent proposals.
-//
-// Part 2 (the durable-storage cost model, docs/STORAGE.md): the same
+// Part 1 (the durable-storage cost model, docs/STORAGE.md): the same
 // acceptor-shaped put workload against InMemoryStableStorage (state dies
 // with the process), the durable WAL with per-put fsync, the WAL with group
 // commit (N puts per fsync), and the WAL after compaction. The priced
@@ -28,7 +11,7 @@
 // survive a kill -9. Emits machine-readable BENCH_recovery.json
 // (schema zdc-bench-recovery-v1); --validate schema-checks an artifact.
 //
-// Part 3 (the catch-up protocol, docs/RECOVERY.md): catch-up time vs lag.
+// Part 2 (the catch-up protocol, docs/RECOVERY.md): catch-up time vs lag.
 // A restarted replica pulls the commands it missed from a live peer through
 // recovery::CatchupService — entry resends while the peer's DeliveryLog
 // retains them, one snapshot transfer plus the log suffix once retention GC
@@ -43,18 +26,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "abcast/delivery_log.h"
+#include "bench_artifact.h"
 #include "common/rng.h"
 #include "common/stable_storage.h"
 #include "core/kv_store.h"
 #include "recovery/catchup.h"
 #include "recovery/durable_rsm.h"
-#include "sim/sequence_world.h"
 #include "storage/durable_storage.h"
 #include "storage/env.h"
 
@@ -68,58 +50,7 @@ double now_s() {
 }
 
 // ---------------------------------------------------------------------------
-// Part 1: repeated consensus with a mid-sequence crash (unchanged series).
-
-void run_sequence_table() {
-  constexpr std::uint32_t kInstances = 12;
-  constexpr std::uint32_t kCrashBefore = 6;
-
-  const std::vector<std::string> protocols = {"l", "p", "ct", "paxos",
-                                              "brasileiro-l"};
-
-  std::printf("=== Recovery runs: repeated consensus with a mid-sequence "
-              "crash ===\n");
-  std::printf("n=4, f=1, divergent proposals; p0 crashes before instance %u\n"
-              "cells: mean decision steps (first-decision latency, ms)\n\n",
-              kCrashBefore);
-
-  std::printf("%-14s", "instance");
-  for (std::uint32_t i = 0; i < kInstances; ++i) {
-    std::printf("  %10u%s", i, i == kCrashBefore ? "*" : " ");
-  }
-  std::printf("\n");
-
-  for (const auto& proto : protocols) {
-    sim::SequenceConfig cfg;
-    cfg.with_group(GroupParams{4, 1}).with_net(sim::calibrated_lan_2006());
-    cfg.fd.mode = sim::FdMode::kCrashTracking;
-    cfg.fd.detection_delay_ms = 3.0;
-    cfg.with_seed(31);
-    cfg.instances = kInstances;
-    cfg.crash_process = 0;
-    cfg.crash_before_instance = kCrashBefore;
-    cfg.divergent_proposals = true;
-
-    auto r = sim::run_consensus_sequence(
-        cfg, sim::consensus_factory_by_name(proto));
-    std::printf("%-14s", proto.c_str());
-    for (const auto& inst : r.instances) {
-      std::printf("  %4.1f (%4.2f)%s", inst.mean_steps, inst.first_decision,
-                  inst.safe ? "" : "!");
-    }
-    if (!r.all_complete) std::printf("  INCOMPLETE");
-    std::printf("\n");
-  }
-
-  std::printf("\n# '*' marks the crash boundary. Zero-degradation = the step "
-              "count returns to 2 after the\n"
-              "# blip; single-decree Paxos staying at 4 forever is the "
-              "permanent degradation the paper's\n"
-              "# introduction warns about.\n\n");
-}
-
-// ---------------------------------------------------------------------------
-// Part 2: storage backends under an acceptor-shaped put workload.
+// Part 1: storage backends under an acceptor-shaped put workload.
 
 struct StorageRow {
   std::string storage;  ///< in-memory | wal | wal-group-commit | wal-compacted
@@ -257,7 +188,7 @@ void run_storage_table(std::vector<StorageRow>* rows, bool quick,
 }
 
 // ---------------------------------------------------------------------------
-// Part 3: catch-up time vs lag through recovery::CatchupService.
+// Part 2: catch-up time vs lag through recovery::CatchupService.
 
 struct CatchupRow {
   std::uint64_t lag = 0;           ///< commands the dead replica missed
@@ -365,292 +296,68 @@ void run_catchup_table(std::vector<CatchupRow>* rows, bool quick,
 }
 
 // ---------------------------------------------------------------------------
-// JSON emission + validation (same shape as bench_hotpath's artifact).
+// The artifact.
 
-std::string to_json(const std::vector<StorageRow>& rows,
-                    const std::vector<CatchupRow>& catchup_rows, bool quick,
-                    std::uint64_t seed) {
-  std::string out = "{\n  \"schema\": \"zdc-bench-recovery-v1\",\n";
-  char buf[512];
-  std::snprintf(buf, sizeof(buf), "  \"quick\": %s,\n  \"seed_base\": %llu,\n",
-                quick ? "true" : "false",
-                static_cast<unsigned long long>(seed));
-  out += buf;
-  out += "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const StorageRow& r = rows[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"storage\": \"%s\", \"puts\": %llu, \"batch\": %llu, "
-        "\"syncs\": %llu, \"puts_per_s\": %.1f, \"reopen_ms\": %.4f, "
-        "\"records_recovered\": %llu, \"seed\": %llu}%s\n",
-        r.storage.c_str(), static_cast<unsigned long long>(r.puts),
-        static_cast<unsigned long long>(r.batch),
-        static_cast<unsigned long long>(r.syncs), r.puts_per_s, r.reopen_ms,
-        static_cast<unsigned long long>(r.records_recovered),
-        static_cast<unsigned long long>(r.seed),
-        i + 1 == rows.size() ? "" : ",");
-    out += buf;
-  }
-  out += "  ],\n  \"catchup_rows\": [\n";
-  for (std::size_t i = 0; i < catchup_rows.size(); ++i) {
-    const CatchupRow& r = catchup_rows[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"lag\": %llu, \"max_retained\": %llu, \"entries\": %llu, "
-        "\"snapshots\": %llu, \"messages\": %llu, \"catchup_ms\": %.4f}%s\n",
-        static_cast<unsigned long long>(r.lag),
-        static_cast<unsigned long long>(r.max_retained),
-        static_cast<unsigned long long>(r.entries),
-        static_cast<unsigned long long>(r.snapshots),
-        static_cast<unsigned long long>(r.messages), r.catchup_ms,
-        i + 1 == catchup_rows.size() ? "" : ",");
-    out += buf;
-  }
-  out += "  ]\n}\n";
-  return out;
+Value to_object(const StorageRow& r) {
+  return object({{"storage", str(r.storage)},
+                 {"puts", integer(r.puts)},
+                 {"batch", integer(r.batch)},
+                 {"syncs", integer(r.syncs)},
+                 {"puts_per_s", fixed(r.puts_per_s, 1)},
+                 {"reopen_ms", fixed(r.reopen_ms, 4)},
+                 {"records_recovered", integer(r.records_recovered)},
+                 {"seed", integer(r.seed)}});
 }
 
-/// Minimal strict parser for the subset this bench emits — catches truncated
-/// files, missing keys and type confusion.
-struct JsonParser {
-  const char* p;
-  const char* end;
-  bool fail = false;
-
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\n' || *p == '\t' || *p == '\r')) {
-      ++p;
-    }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    fail = true;
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  std::string parse_string() {
-    skip_ws();
-    if (p >= end || *p != '"') {
-      fail = true;
-      return {};
-    }
-    ++p;
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        fail = true;  // the bench never emits escapes
-        return {};
-      }
-      s += *p++;
-    }
-    if (!consume('"')) return {};
-    return s;
-  }
-  double parse_number() {
-    skip_ws();
-    char* after = nullptr;
-    const double v = std::strtod(p, &after);
-    if (after == p) {
-      fail = true;
-      return 0;
-    }
-    p = after;
-    return v;
-  }
-  bool parse_bool() {
-    skip_ws();
-    if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-      p += 4;
-      return true;
-    }
-    if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-      p += 5;
-      return false;
-    }
-    fail = true;
-    return false;
-  }
-};
-
-/// Returns an empty string when `text` conforms, else a one-line diagnostic.
-std::string validate_json(const std::string& text) {
-  JsonParser j{text.data(), text.data() + text.size()};
-  if (!j.consume('{')) return "not a JSON object";
-
-  bool saw_schema = false;
-  bool saw_rows = false;
-  std::size_t row_count = 0;
-  for (;;) {
-    const std::string key = j.parse_string();
-    if (j.fail) return "bad key";
-    if (!j.consume(':')) return "missing ':' after " + key;
-    if (key == "schema") {
-      const std::string v = j.parse_string();
-      if (v != "zdc-bench-recovery-v1") return "unknown schema '" + v + "'";
-      saw_schema = true;
-    } else if (key == "quick") {
-      j.parse_bool();
-    } else if (key == "seed_base") {
-      j.parse_number();
-    } else if (key == "rows") {
-      saw_rows = true;
-      if (!j.consume('[')) return "rows is not an array";
-      while (!j.peek(']')) {
-        if (!j.consume('{')) return "row is not an object";
-        static const char* kKeys[8] = {
-            "storage",   "puts",      "batch",
-            "syncs",     "puts_per_s", "reopen_ms",
-            "records_recovered", "seed"};
-        bool has[8] = {};
-        while (!j.peek('}')) {
-          const std::string rk = j.parse_string();
-          if (!j.consume(':')) return "row missing ':'";
-          if (rk == "storage") {
-            if (j.parse_string().empty()) return "empty storage";
-          } else {
-            j.parse_number();
-          }
-          if (j.fail) return "bad value for row key " + rk;
-          for (int i = 0; i < 8; ++i) {
-            if (rk == kKeys[i]) has[i] = true;
-          }
-          if (!j.peek('}')) {
-            if (!j.consume(',')) return "row missing ','";
-          }
-        }
-        j.consume('}');
-        for (int i = 0; i < 8; ++i) {
-          if (!has[i]) return std::string("row missing key ") + kKeys[i];
-        }
-        ++row_count;
-        if (!j.peek(']')) {
-          if (!j.consume(',')) return "rows missing ','";
-        }
-      }
-      j.consume(']');
-    } else if (key == "catchup_rows") {
-      // Optional (pre-catch-up artifacts lack it): catch-up time vs lag.
-      if (!j.consume('[')) return "catchup_rows is not an array";
-      while (!j.peek(']')) {
-        if (!j.consume('{')) return "catchup row is not an object";
-        static const char* kKeys[6] = {"lag",       "max_retained",
-                                       "entries",   "snapshots",
-                                       "messages",  "catchup_ms"};
-        bool has[6] = {};
-        while (!j.peek('}')) {
-          const std::string rk = j.parse_string();
-          if (!j.consume(':')) return "catchup row missing ':'";
-          j.parse_number();
-          if (j.fail) return "bad value for catchup row key " + rk;
-          for (int i = 0; i < 6; ++i) {
-            if (rk == kKeys[i]) has[i] = true;
-          }
-          if (!j.peek('}')) {
-            if (!j.consume(',')) return "catchup row missing ','";
-          }
-        }
-        j.consume('}');
-        for (int i = 0; i < 6; ++i) {
-          if (!has[i]) {
-            return std::string("catchup row missing key ") + kKeys[i];
-          }
-        }
-        if (!j.peek(']')) {
-          if (!j.consume(',')) return "catchup_rows missing ','";
-        }
-      }
-      j.consume(']');
-    } else {
-      return "unknown key '" + key + "'";
-    }
-    if (j.fail) return "parse failure after key " + key;
-    if (j.peek('}')) break;
-    if (!j.consume(',')) return "missing ',' between keys";
-  }
-  j.consume('}');
-  j.skip_ws();
-  if (j.p != j.end) return "trailing garbage";
-  if (!saw_schema) return "missing schema";
-  if (!saw_rows) return "missing rows";
-  if (row_count == 0) return "rows is empty";
-  return {};
+Value to_object(const CatchupRow& r) {
+  return object({{"lag", integer(r.lag)},
+                 {"max_retained", integer(r.max_retained)},
+                 {"entries", integer(r.entries)},
+                 {"snapshots", integer(r.snapshots)},
+                 {"messages", integer(r.messages)},
+                 {"catchup_ms", fixed(r.catchup_ms, 4)}});
 }
 
-int validate_file(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "validate: cannot open %s\n", path);
-    return 1;
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, got);
-  std::fclose(f);
-  const std::string err = validate_json(text);
-  if (!err.empty()) {
-    std::fprintf(stderr, "validate: %s: %s\n", path, err.c_str());
-    return 1;
-  }
-  std::printf("validate: %s conforms to zdc-bench-recovery-v1\n", path);
-  return 0;
-}
+constexpr Key kScalars[] = {{"schema", Kind::kString},
+                            {"quick", Kind::kBool},
+                            {"seed_base", Kind::kNumber}};
+constexpr Key kStorageKeys[] = {
+    {"storage", Kind::kString},   {"puts", Kind::kNumber},
+    {"batch", Kind::kNumber},     {"syncs", Kind::kNumber},
+    {"puts_per_s", Kind::kNumber}, {"reopen_ms", Kind::kNumber},
+    {"records_recovered", Kind::kNumber}, {"seed", Kind::kNumber}};
+constexpr Key kCatchupKeys[] = {
+    {"lag", Kind::kNumber},       {"max_retained", Kind::kNumber},
+    {"entries", Kind::kNumber},   {"snapshots", Kind::kNumber},
+    {"messages", Kind::kNumber},  {"catchup_ms", Kind::kNumber}};
+// catchup_rows is optional: artifacts from before the catch-up rows lack it.
+constexpr ArraySpec kArrays[] = {{"rows", kStorageKeys, true},
+                                 {"catchup_rows", kCatchupKeys, false}};
+const Artifact kArtifact{"bench_recovery", "zdc-bench-recovery-v1",
+                         "BENCH_recovery.json", true, kScalars, kArrays};
 
 // ---------------------------------------------------------------------------
 
 int run(int argc, char** argv) {
-  bool quick = false;
-  const char* out_path = "BENCH_recovery.json";
-  std::uint64_t seed = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--validate" && i + 1 < argc) {
-      return validate_file(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_recovery [--quick] [--out FILE] [--seed N] | "
-                   "--validate FILE\n");
-      return 2;
-    }
-  }
-
-  if (!quick) run_sequence_table();  // the protocol-level series (stdout only)
+  Options opts;
+  const int status = parse_flags(kArtifact, argc, argv, &opts);
+  if (status >= 0) return status;
 
   std::vector<StorageRow> rows;
-  run_storage_table(&rows, quick, seed);
+  run_storage_table(&rows, opts.quick, opts.seed);
   std::vector<CatchupRow> catchup_rows;
-  run_catchup_table(&catchup_rows, quick, seed);
+  run_catchup_table(&catchup_rows, opts.quick, opts.seed);
 
-  const std::string json = to_json(rows, catchup_rows, quick, seed);
-  const std::string err = validate_json(json);
-  if (!err.empty()) {
-    std::fprintf(stderr, "emitted JSON fails own validation: %s\n",
-                 err.c_str());
-    return 1;
-  }
-  std::FILE* f = std::fopen(out_path, "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s (%zu rows)\n", out_path, rows.size());
-  return 0;
+  Rows storage;
+  for (const StorageRow& row : rows) storage.push_back(to_object(row));
+  Rows catchup;
+  for (const CatchupRow& row : catchup_rows) catchup.push_back(to_object(row));
+  const Value doc = object({{"schema", str(kArtifact.schema)},
+                            {"quick", boolean(opts.quick)},
+                            {"seed_base", integer(opts.seed)},
+                            {"rows", list(std::move(storage))},
+                            {"catchup_rows", list(std::move(catchup))}});
+  return write_artifact(kArtifact, doc, opts.out);
 }
 
 }  // namespace

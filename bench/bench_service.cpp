@@ -28,10 +28,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_artifact.h"
 #include "service/service_sim.h"
 
 namespace zdc::bench {
@@ -116,299 +116,106 @@ void print_table(const std::vector<ServiceRow>& rows) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON emission + validation (same shape as bench_recovery's artifact).
+// The artifact.
 
-std::string to_json(const std::vector<ServiceRow>& rows, bool quick,
-                    std::uint64_t seed) {
-  std::string out =
-      "{\n  \"schema\": \"zdc-bench-service-v1\",\n"
-      "  \"model\": \"service_sim\",\n  \"timebase\": \"simulated\",\n";
-  char buf[768];
-  std::snprintf(buf, sizeof(buf), "  \"quick\": %s,\n  \"seed_base\": %llu,\n",
-                quick ? "true" : "false",
-                static_cast<unsigned long long>(seed));
-  out += buf;
-  out += "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ServiceRow& r = rows[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"mode\": \"%s\", \"sessions\": %llu, \"writes\": %llu, "
-        "\"reads\": %llu, \"fast_reads\": %llu, \"ordered_reads\": %llu, "
-        "\"consensus_read_rounds\": %llu, \"one_step\": %llu, "
-        "\"two_step\": %llu, \"writes_per_s\": %.1f, \"reads_per_s\": %.1f, "
-        "\"write_mean_ms\": %.4f, \"fast_read_mean_ms\": %.4f, "
-        "\"ordered_read_mean_ms\": %.4f, \"seed\": %llu}%s\n",
-        r.mode.c_str(), static_cast<unsigned long long>(r.sessions),
-        static_cast<unsigned long long>(r.writes),
-        static_cast<unsigned long long>(r.reads),
-        static_cast<unsigned long long>(r.fast_reads),
-        static_cast<unsigned long long>(r.ordered_reads),
-        static_cast<unsigned long long>(r.consensus_read_rounds),
-        static_cast<unsigned long long>(r.one_step),
-        static_cast<unsigned long long>(r.two_step), r.writes_per_s,
-        r.reads_per_s, r.write_mean_ms, r.fast_read_mean_ms,
-        r.ordered_read_mean_ms, static_cast<unsigned long long>(r.seed),
-        i + 1 == rows.size() ? "" : ",");
-    out += buf;
-  }
-  out += "  ]\n}\n";
-  return out;
+Value to_object(const ServiceRow& r) {
+  return object({{"mode", str(r.mode)},
+                 {"sessions", integer(r.sessions)},
+                 {"writes", integer(r.writes)},
+                 {"reads", integer(r.reads)},
+                 {"fast_reads", integer(r.fast_reads)},
+                 {"ordered_reads", integer(r.ordered_reads)},
+                 {"consensus_read_rounds", integer(r.consensus_read_rounds)},
+                 {"one_step", integer(r.one_step)},
+                 {"two_step", integer(r.two_step)},
+                 {"writes_per_s", fixed(r.writes_per_s, 1)},
+                 {"reads_per_s", fixed(r.reads_per_s, 1)},
+                 {"write_mean_ms", fixed(r.write_mean_ms, 4)},
+                 {"fast_read_mean_ms", fixed(r.fast_read_mean_ms, 4)},
+                 {"ordered_read_mean_ms", fixed(r.ordered_read_mean_ms, 4)},
+                 {"seed", integer(r.seed)}});
 }
 
-/// Minimal strict parser for the subset this bench emits — catches truncated
-/// files, missing keys and type confusion.
-struct JsonParser {
-  const char* p;
-  const char* end;
-  bool fail = false;
+constexpr Key kScalars[] = {{"schema", Kind::kString},
+                            {"model", Kind::kString},
+                            {"timebase", Kind::kString},
+                            {"quick", Kind::kBool},
+                            {"seed_base", Kind::kNumber}};
+constexpr Key kRowKeys[] = {
+    {"mode", Kind::kString},          {"sessions", Kind::kNumber},
+    {"writes", Kind::kNumber},        {"reads", Kind::kNumber},
+    {"fast_reads", Kind::kNumber},    {"ordered_reads", Kind::kNumber},
+    {"consensus_read_rounds", Kind::kNumber},
+    {"one_step", Kind::kNumber},      {"two_step", Kind::kNumber},
+    {"writes_per_s", Kind::kNumber},  {"reads_per_s", Kind::kNumber},
+    {"write_mean_ms", Kind::kNumber}, {"fast_read_mean_ms", Kind::kNumber},
+    {"ordered_read_mean_ms", Kind::kNumber}, {"seed", Kind::kNumber}};
+constexpr ArraySpec kArrays[] = {{"rows", kRowKeys, true}};
 
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\n' || *p == '\t' || *p == '\r')) {
-      ++p;
-    }
+/// The per-path semantics: read-index-off rows must order every read
+/// (fast_reads == 0, one consensus round per read), and read-index-on rows
+/// must show a live fast path with fewer rounds than reads — the artifact
+/// itself proves fast reads skip consensus. The rates are modelled, so the
+/// document must say so.
+std::string check_paths(const Value& doc) {
+  if (doc.get("model")->text != "service_sim") {
+    return "unknown model '" + doc.get("model")->text + "'";
   }
-  bool consume(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    fail = true;
-    return false;
+  if (doc.get("timebase")->text != "simulated") {
+    return "timebase '" + doc.get("timebase")->text + "' is not simulated";
   }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  std::string parse_string() {
-    skip_ws();
-    if (p >= end || *p != '"') {
-      fail = true;
-      return {};
-    }
-    ++p;
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        fail = true;  // the bench never emits escapes
-        return {};
+  bool saw_on = false;
+  bool saw_off = false;
+  for (const Value& row : doc.get("rows")->items) {
+    const std::string& mode = row.get("mode")->text;
+    const double fast_reads = row.get("fast_reads")->number;
+    const double reads = row.get("reads")->number;
+    const double rounds = row.get("consensus_read_rounds")->number;
+    if (mode == "read-index-off") {
+      saw_off = true;
+      if (fast_reads != 0) return "read-index-off row has fast reads";
+      if (rounds != reads) {
+        return "read-index-off row must pay one round per read";
       }
-      s += *p++;
-    }
-    if (!consume('"')) return {};
-    return s;
-  }
-  double parse_number() {
-    skip_ws();
-    char* after = nullptr;
-    const double v = std::strtod(p, &after);
-    if (after == p) {
-      fail = true;
-      return 0;
-    }
-    p = after;
-    return v;
-  }
-  bool parse_bool() {
-    skip_ws();
-    if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-      p += 4;
-      return true;
-    }
-    if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-      p += 5;
-      return false;
-    }
-    fail = true;
-    return false;
-  }
-};
-
-constexpr const char* kRowKeys[15] = {
-    "mode",          "sessions",          "writes",
-    "reads",         "fast_reads",        "ordered_reads",
-    "consensus_read_rounds", "one_step",  "two_step",
-    "writes_per_s",  "reads_per_s",       "write_mean_ms",
-    "fast_read_mean_ms", "ordered_read_mean_ms", "seed"};
-
-/// Returns an empty string when `text` conforms, else a one-line diagnostic.
-/// Conformance includes the per-path semantics: read-index-off rows must
-/// order every read (fast_reads == 0, one consensus round per read), and
-/// read-index-on rows must show a live fast path with fewer rounds than
-/// reads — the artifact itself proves fast reads skip consensus.
-std::string validate_json(const std::string& text) {
-  JsonParser j{text.data(), text.data() + text.size()};
-  if (!j.consume('{')) return "not a JSON object";
-
-  bool saw_schema = false;
-  bool saw_model = false;
-  bool saw_timebase = false;
-  bool saw_rows = false;
-  bool saw_on_mode = false;
-  bool saw_off_mode = false;
-  std::size_t row_count = 0;
-  for (;;) {
-    const std::string key = j.parse_string();
-    if (j.fail) return "bad key";
-    if (!j.consume(':')) return "missing ':' after " + key;
-    if (key == "schema") {
-      const std::string v = j.parse_string();
-      if (v != "zdc-bench-service-v1") return "unknown schema '" + v + "'";
-      saw_schema = true;
-    } else if (key == "model") {
-      const std::string v = j.parse_string();
-      if (v != "service_sim") return "unknown model '" + v + "'";
-      saw_model = true;
-    } else if (key == "timebase") {
-      const std::string v = j.parse_string();
-      if (v != "simulated") return "timebase '" + v + "' is not simulated";
-      saw_timebase = true;
-    } else if (key == "quick") {
-      j.parse_bool();
-    } else if (key == "seed_base") {
-      j.parse_number();
-    } else if (key == "rows") {
-      saw_rows = true;
-      if (!j.consume('[')) return "rows is not an array";
-      while (!j.peek(']')) {
-        if (!j.consume('{')) return "row is not an object";
-        bool has[15] = {};
-        std::string mode;
-        double fast_reads = 0;
-        double reads = 0;
-        double rounds = 0;
-        while (!j.peek('}')) {
-          const std::string rk = j.parse_string();
-          if (!j.consume(':')) return "row missing ':'";
-          if (rk == "mode") {
-            mode = j.parse_string();
-            if (mode != "read-index-on" && mode != "read-index-off") {
-              return "unknown mode '" + mode + "'";
-            }
-          } else {
-            const double v = j.parse_number();
-            if (rk == "fast_reads") fast_reads = v;
-            if (rk == "reads") reads = v;
-            if (rk == "consensus_read_rounds") rounds = v;
-          }
-          if (j.fail) return "bad value for row key " + rk;
-          for (int i = 0; i < 15; ++i) {
-            if (rk == kRowKeys[i]) has[i] = true;
-          }
-          if (!j.peek('}')) {
-            if (!j.consume(',')) return "row missing ','";
-          }
-        }
-        j.consume('}');
-        for (int i = 0; i < 15; ++i) {
-          if (!has[i]) return std::string("row missing key ") + kRowKeys[i];
-        }
-        if (mode == "read-index-off") {
-          saw_off_mode = true;
-          if (fast_reads != 0) return "read-index-off row has fast reads";
-          if (rounds != reads) {
-            return "read-index-off row must pay one round per read";
-          }
-        } else {
-          saw_on_mode = true;
-          if (fast_reads <= 0) return "read-index-on row has no fast reads";
-          if (rounds >= reads) {
-            return "read-index-on row shows no consensus-free reads";
-          }
-        }
-        ++row_count;
-        if (!j.peek(']')) {
-          if (!j.consume(',')) return "rows missing ','";
-        }
+    } else if (mode == "read-index-on") {
+      saw_on = true;
+      if (fast_reads <= 0) return "read-index-on row has no fast reads";
+      if (rounds >= reads) {
+        return "read-index-on row shows no consensus-free reads";
       }
-      j.consume(']');
     } else {
-      return "unknown key '" + key + "'";
+      return "unknown mode '" + mode + "'";
     }
-    if (j.fail) return "parse failure after key " + key;
-    if (j.peek('}')) break;
-    if (!j.consume(',')) return "missing ',' between keys";
   }
-  j.consume('}');
-  j.skip_ws();
-  if (j.p != j.end) return "trailing garbage";
-  if (!saw_schema) return "missing schema";
-  if (!saw_model || !saw_timebase) {
-    return "missing model/timebase: the rates are modelled, per simulated "
-           "second";
-  }
-  if (!saw_rows) return "missing rows";
-  if (row_count == 0) return "rows is empty";
-  if (!saw_on_mode || !saw_off_mode) return "missing a read-index mode row";
+  if (!saw_on || !saw_off) return "missing a read-index mode row";
   return {};
 }
 
-int validate_file(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "validate: cannot open %s\n", path);
-    return 1;
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, got);
-  std::fclose(f);
-  const std::string err = validate_json(text);
-  if (!err.empty()) {
-    std::fprintf(stderr, "validate: %s: %s\n", path, err.c_str());
-    return 1;
-  }
-  std::printf("validate: %s conforms to zdc-bench-service-v1\n", path);
-  return 0;
-}
+const Artifact kArtifact{"bench_service", "zdc-bench-service-v1",
+                         "BENCH_service.json", true, kScalars, kArrays,
+                         check_paths};
 
 // ---------------------------------------------------------------------------
 
 int run(int argc, char** argv) {
-  bool quick = false;
-  const char* out_path = "BENCH_service.json";
-  std::uint64_t seed = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--validate" && i + 1 < argc) {
-      return validate_file(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_service [--quick] [--out FILE] [--seed N] | "
-                   "--validate FILE\n");
-      return 2;
-    }
-  }
+  Options opts;
+  const int status = parse_flags(kArtifact, argc, argv, &opts);
+  if (status >= 0) return status;
 
   std::vector<ServiceRow> rows;
-  rows.push_back(run_mode(/*read_index=*/true, quick, seed));
-  rows.push_back(run_mode(/*read_index=*/false, quick, seed));
+  rows.push_back(run_mode(/*read_index=*/true, opts.quick, opts.seed));
+  rows.push_back(run_mode(/*read_index=*/false, opts.quick, opts.seed));
   print_table(rows);
 
-  const std::string json = to_json(rows, quick, seed);
-  const std::string err = validate_json(json);
-  if (!err.empty()) {
-    std::fprintf(stderr, "emitted JSON fails own validation: %s\n",
-                 err.c_str());
-    return 1;
-  }
-  std::FILE* f = std::fopen(out_path, "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s (%zu rows)\n", out_path, rows.size());
-  return 0;
+  Rows out;
+  for (const ServiceRow& row : rows) out.push_back(to_object(row));
+  const Value doc = object({{"schema", str(kArtifact.schema)},
+                            {"model", str("service_sim")},
+                            {"timebase", str("simulated")},
+                            {"quick", boolean(opts.quick)},
+                            {"seed_base", integer(opts.seed)},
+                            {"rows", list(std::move(out))}});
+  return write_artifact(kArtifact, doc, opts.out);
 }
 
 }  // namespace

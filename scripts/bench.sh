@@ -4,12 +4,16 @@
 # mode. Default harness is the hot path (BENCH_hotpath.json, docs/PERF.md);
 # --recovery runs the recovery/durable-storage harness instead
 # (BENCH_recovery.json, docs/STORAGE.md); --service runs the session/
-# read-index service harness (BENCH_service.json, docs/SERVICE.md).
+# read-index service harness (BENCH_service.json, docs/SERVICE.md); --paper
+# runs the paper's evaluation (BENCH_paper.json, EXPERIMENTS.md), whose
+# validation fails unless every claim holds.
 #
 #   scripts/bench.sh                 # full sweep  -> BENCH_hotpath.json
 #   scripts/bench.sh --recovery      # storage cost -> BENCH_recovery.json
 #   scripts/bench.sh --service      # service paths -> BENCH_service.json
-#   scripts/bench.sh --quick         # tiny smoke sweep (the tier-1 ctest)
+#   scripts/bench.sh --paper         # paper claims -> BENCH_paper.json
+#   scripts/bench.sh --quick         # tiny smoke sweep (the tier-1 ctest;
+#                                    # not with --paper)
 #   scripts/bench.sh --out FILE      # write the JSON elsewhere
 #   BUILD_DIR=build-foo scripts/bench.sh   # use a different build tree
 set -eu
@@ -25,9 +29,10 @@ while [ $# -gt 0 ]; do
     --quick) QUICK="--quick" ;;
     --recovery) TARGET="bench_recovery" ;;
     --service) TARGET="bench_service" ;;
+    --paper) TARGET="bench_paper" ;;
     --out) shift; OUT=$1 ;;
     *)
-      echo "usage: scripts/bench.sh [--recovery|--service] [--quick]" \
+      echo "usage: scripts/bench.sh [--recovery|--service|--paper] [--quick]" \
            "[--out FILE]" >&2
       exit 2
       ;;
@@ -35,13 +40,7 @@ while [ $# -gt 0 ]; do
   shift
 done
 if [ -z "$OUT" ]; then
-  if [ "$TARGET" = "bench_recovery" ]; then
-    OUT="BENCH_recovery.json"
-  elif [ "$TARGET" = "bench_service" ]; then
-    OUT="BENCH_service.json"
-  else
-    OUT="BENCH_hotpath.json"
-  fi
+  OUT="BENCH_${TARGET#bench_}.json"
 fi
 
 BIN="$BUILD_DIR/bench/$TARGET"

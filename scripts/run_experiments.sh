@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Regenerates every paper experiment: runs each bench binary, tees the output
-# to results/, and exports the figure sweeps as CSV for plotting.
+# Runs every bench binary and tees its output to results/. The paper's
+# evaluation, figure series included, is bench_paper's BENCH_paper.json
+# (scripts/bench.sh --paper).
 set -u
 cd "$(dirname "$0")/.."
 BUILD=${1:-build}
@@ -12,8 +13,6 @@ for bench in "$BUILD"/bench/bench_*; do
   name=$(basename "$bench")
   echo "== $name"
   case "$name" in
-    bench_fig2|bench_fig3)
-      "$bench" --csv "$OUT/$name.csv" | tee "$OUT/$name.txt" ;;
     bench_micro)
       "$bench" --benchmark_min_time=0.1 | tee "$OUT/$name.txt" ;;
     *)

@@ -122,7 +122,8 @@ class CAbcast final : public AtomicBroadcast {
   /// Per-round cap on messages w-broadcast (and hence ordered); 0 = whole
   /// estimate per round (the paper's algorithm). Excess messages stay in the
   /// estimate and ride later rounds — a batching-vs-latency design knob
-  /// benched in bench_ablation_batch. Set via configure_batching.
+  /// (bench_paper's "batch" experiment sets it through
+  /// BatchingOptions::c_abcast_max_batch). Set via configure_batching.
   std::size_t max_batch_ = 0;
 
   MsgSet estimate_;

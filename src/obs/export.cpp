@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+
+#include "obs/json_reader.h"
 
 namespace zdc::obs {
 namespace {
@@ -132,247 +132,110 @@ std::string to_prometheus(const MetricsRegistry::Snapshot& snap) {
 }
 
 // ---------------------------------------------------------------------------
-// Validation: a minimal parser for the subset to_json emits, strict enough to
-// catch truncated files, missing keys, arity mismatches and type confusion
-// (the same discipline as bench_hotpath's BENCH_hotpath.json validator).
+// Validation: parse_json and check_keys (json_reader.h, the reader behind
+// every BENCH_*.json artifact too) catch malformed text and missing,
+// unknown or mistyped keys; the checks below add the value rules and the
+// histogram arity.
 
 namespace {
 
-struct JsonParser {
-  const char* p;
-  const char* end;
-  bool fail = false;
+using Type = JsonValue::Type;
 
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\n' || *p == '\t' || *p == '\r')) {
-      ++p;
-    }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    fail = true;
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  std::string parse_string() {
-    skip_ws();
-    if (p >= end || *p != '"') {
-      fail = true;
-      return {};
-    }
-    ++p;
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        fail = true;  // the exporter never emits escapes
-        return {};
-      }
-      s += *p++;
-    }
-    if (!consume('"')) return {};
-    return s;
-  }
-  double parse_number() {
-    skip_ws();
-    char* after = nullptr;
-    const double v = std::strtod(p, &after);
-    if (after == p) {
-      fail = true;
-      return 0;
-    }
-    p = after;
-    return v;
-  }
-};
-
-// Parses {"k": "v", ...}; returns false on malformed input.
-bool parse_labels(JsonParser& j) {
-  if (!j.consume('{')) return false;
-  while (!j.peek('}')) {
-    if (j.parse_string().empty()) return false;
-    if (!j.consume(':')) return false;
-    j.parse_string();
-    if (j.fail) return false;
-    if (!j.peek('}')) {
-      if (!j.consume(',')) return false;
-    }
-  }
-  return j.consume('}');
-}
-
-// Parses [n, n, ...] into `out`; empty arrays are accepted.
-bool parse_number_array(JsonParser& j, std::vector<double>* out) {
-  if (!j.consume('[')) return false;
-  while (!j.peek(']')) {
-    out->push_back(j.parse_number());
-    if (j.fail) return false;
-    if (!j.peek(']')) {
-      if (!j.consume(',')) return false;
-    }
-  }
-  return j.consume(']');
-}
+constexpr JsonKey kDocumentKeys[] = {{"schema", Type::kString},
+                                     {"families", Type::kArray}};
+constexpr JsonKey kFamilyKeys[] = {{"name", Type::kString},
+                                   {"type", Type::kString},
+                                   {"points", Type::kArray}};
+constexpr JsonKey kValuePointKeys[] = {{"labels", Type::kObject},
+                                       {"value", Type::kNumber}};
+constexpr JsonKey kHistogramPointKeys[] = {
+    {"labels", Type::kObject}, {"count", Type::kNumber},
+    {"sum", Type::kNumber},    {"bounds", Type::kArray},
+    {"buckets", Type::kArray}};
 
 bool is_nonneg_integer(double v) {
   return v >= 0.0 && v == std::floor(v);
 }
 
-std::string validate_point(JsonParser& j, const std::string& type) {
-  if (!j.consume('{')) return "point is not an object";
-  bool saw_labels = false;
-  bool saw_value = false;
-  bool saw_count = false;
-  bool saw_sum = false;
-  double count = 0.0;
+// Appends the elements of a number array; false when one is no number.
+bool numbers(const JsonValue& v, std::vector<double>* out) {
+  for (const JsonValue& item : v.items) {
+    if (item.type != Type::kNumber) return false;
+    out->push_back(item.number);
+  }
+  return true;
+}
+
+std::string validate_point(const JsonValue& pt, const std::string& type) {
+  const bool histogram = type == "histogram";
+  const std::string err = check_keys(
+      pt, histogram ? std::span<const JsonKey>(kHistogramPointKeys)
+                    : std::span<const JsonKey>(kValuePointKeys),
+      "point");
+  if (!err.empty()) return err;
+  for (const auto& [name, label] : pt.get("labels")->members) {
+    if (name.empty() || label.type != Type::kString) {
+      return "malformed labels object";
+    }
+  }
+  if (!histogram) {
+    if (type == "counter" && !is_nonneg_integer(pt.get("value")->number)) {
+      return "counter value is not a non-negative integer";
+    }
+    return {};
+  }
+  const double count = pt.get("count")->number;
+  if (!is_nonneg_integer(count)) return "count is not an integer";
   std::vector<double> bounds;
   std::vector<double> buckets;
-  while (!j.peek('}')) {
-    const std::string key = j.parse_string();
-    if (j.fail) return "bad point key";
-    if (!j.consume(':')) return "point missing ':' after " + key;
-    if (key == "labels") {
-      if (!parse_labels(j)) return "malformed labels object";
-      saw_labels = true;
-    } else if (key == "value") {
-      const double v = j.parse_number();
-      if (type == "counter" && !is_nonneg_integer(v)) {
-        return "counter value is not a non-negative integer";
-      }
-      saw_value = true;
-    } else if (key == "count") {
-      count = j.parse_number();
-      if (!is_nonneg_integer(count)) return "count is not an integer";
-      saw_count = true;
-    } else if (key == "sum") {
-      j.parse_number();
-      saw_sum = true;
-    } else if (key == "bounds") {
-      if (!parse_number_array(j, &bounds)) return "malformed bounds array";
-    } else if (key == "buckets") {
-      if (!parse_number_array(j, &buckets)) return "malformed buckets array";
-    } else {
-      return "unknown point key '" + key + "'";
-    }
-    if (j.fail) return "bad value for point key " + key;
-    if (!j.peek('}')) {
-      if (!j.consume(',')) return "point missing ','";
-    }
+  if (!numbers(*pt.get("bounds"), &bounds)) return "malformed bounds array";
+  if (!numbers(*pt.get("buckets"), &buckets)) return "malformed buckets array";
+  if (buckets.size() != bounds.size() + 1) return "buckets arity != bounds + 1";
+  for (std::size_t i = 1; i < bounds.size(); ++i) {
+    if (!(bounds[i - 1] < bounds[i])) return "bounds not ascending";
   }
-  j.consume('}');
-  if (!saw_labels) return "point missing labels";
-  if (type == "histogram") {
-    if (!saw_count || !saw_sum) return "histogram point missing count/sum";
-    if (buckets.size() != bounds.size() + 1) {
-      return "buckets arity != bounds + 1";
-    }
-    for (std::size_t i = 1; i < bounds.size(); ++i) {
-      if (!(bounds[i - 1] < bounds[i])) return "bounds not ascending";
-    }
-    double total = 0.0;
-    for (double b : buckets) {
-      if (!is_nonneg_integer(b)) return "bucket count is not an integer";
-      total += b;
-    }
-    if (total != count) return "bucket counts do not sum to count";
-  } else {
-    if (!saw_value) return "point missing value";
+  double total = 0.0;
+  for (double b : buckets) {
+    if (!is_nonneg_integer(b)) return "bucket count is not an integer";
+    total += b;
   }
+  if (total != count) return "bucket counts do not sum to count";
   return {};
 }
 
-std::string validate_family(JsonParser& j) {
-  if (!j.consume('{')) return "family is not an object";
-  bool saw_name = false;
-  std::string type;
-  bool saw_points = false;
-  while (!j.peek('}')) {
-    const std::string key = j.parse_string();
-    if (j.fail) return "bad family key";
-    if (!j.consume(':')) return "family missing ':' after " + key;
-    if (key == "name") {
-      if (j.parse_string().empty()) return "empty family name";
-      saw_name = true;
-    } else if (key == "type") {
-      type = j.parse_string();
-      if (type != "counter" && type != "gauge" && type != "histogram") {
-        return "unknown family type '" + type + "'";
-      }
-    } else if (key == "points") {
-      if (type.empty()) return "points before type";
-      saw_points = true;
-      if (!j.consume('[')) return "points is not an array";
-      while (!j.peek(']')) {
-        const std::string err = validate_point(j, type);
-        if (!err.empty()) return err;
-        if (!j.peek(']')) {
-          if (!j.consume(',')) return "points missing ','";
-        }
-      }
-      j.consume(']');
-    } else {
-      return "unknown family key '" + key + "'";
-    }
-    if (j.fail) return "parse failure after family key " + key;
-    if (!j.peek('}')) {
-      if (!j.consume(',')) return "family missing ','";
-    }
+std::string validate_family(const JsonValue& fam) {
+  std::string err = check_keys(fam, kFamilyKeys, "family");
+  if (!err.empty()) return err;
+  const std::string& type = fam.get("type")->text;
+  if (type != "counter" && type != "gauge" && type != "histogram") {
+    return "unknown family type '" + type + "'";
   }
-  j.consume('}');
-  if (!saw_name) return "family missing name";
-  if (type.empty()) return "family missing type";
-  if (!saw_points) return "family missing points";
+  for (const auto& member : fam.members) {
+    if (member.first == "type") break;
+    if (member.first == "points") return "points before type";
+  }
+  for (const JsonValue& pt : fam.get("points")->items) {
+    err = validate_point(pt, type);
+    if (!err.empty()) return err;
+  }
   return {};
 }
 
 }  // namespace
 
 std::string validate_metrics_json(const std::string& text) {
-  JsonParser j{text.data(), text.data() + text.size()};
-  if (!j.consume('{')) return "not a JSON object";
-
-  bool saw_schema = false;
-  bool saw_families = false;
-  std::size_t family_count = 0;
-  for (;;) {
-    const std::string key = j.parse_string();
-    if (j.fail) return "bad key";
-    if (!j.consume(':')) return "missing ':' after " + key;
-    if (key == "schema") {
-      const std::string v = j.parse_string();
-      if (v != "zdc-metrics-v1") return "unknown schema '" + v + "'";
-      saw_schema = true;
-    } else if (key == "families") {
-      saw_families = true;
-      if (!j.consume('[')) return "families is not an array";
-      while (!j.peek(']')) {
-        const std::string err = validate_family(j);
-        if (!err.empty()) return err;
-        ++family_count;
-        if (!j.peek(']')) {
-          if (!j.consume(',')) return "families missing ','";
-        }
-      }
-      j.consume(']');
-    } else {
-      return "unknown key '" + key + "'";
-    }
-    if (j.fail) return "parse failure after key " + key;
-    if (j.peek('}')) break;
-    if (!j.consume(',')) return "missing ',' between keys";
+  JsonValue doc;
+  std::string err = parse_json(text, &doc);
+  if (err.empty()) err = check_keys(doc, kDocumentKeys, "document");
+  if (!err.empty()) return err;
+  const std::string& schema = doc.get("schema")->text;
+  if (schema != "zdc-metrics-v1") return "unknown schema '" + schema + "'";
+  const std::vector<JsonValue>& families = doc.get("families")->items;
+  if (families.empty()) return "families is empty";
+  for (const JsonValue& fam : families) {
+    err = validate_family(fam);
+    if (!err.empty()) return err;
   }
-  j.consume('}');
-  j.skip_ws();
-  if (j.p != j.end) return "trailing garbage";
-  if (!saw_schema) return "missing schema";
-  if (!saw_families) return "missing families";
-  if (family_count == 0) return "families is empty";
   return {};
 }
 

@@ -1,6 +1,6 @@
-// Metric snapshot exporters: schema-validated JSON ("zdc-metrics-v1", same
-// emit/validate discipline as bench's BENCH_hotpath.json) and Prometheus
-// text exposition format.
+// Metric snapshot exporters: schema-validated JSON ("zdc-metrics-v1",
+// checked by the same reader as the BENCH_*.json artifacts, json_reader.h)
+// and Prometheus text exposition format.
 //
 // Both serializers are pure functions of a MetricsRegistry::Snapshot, whose
 // family and point ordering is deterministic — a fixed-seed sim run therefore

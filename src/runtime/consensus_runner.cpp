@@ -114,7 +114,7 @@ void ConsensusRunner::handle(ProcessId p, const Delivery& d) {
       node.protocol->on_message(d.from, d.bytes);
       break;
     case Channel::kHeartbeat:
-      node.fd->on_heartbeat(d.from);
+      node.fd->on_heartbeat(d.from, d.bytes);
       break;
     case Channel::kWab:
       node.protocol->on_w_deliver(d.wab_instance, d.from, d.bytes);

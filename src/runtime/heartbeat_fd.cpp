@@ -25,6 +25,7 @@ HeartbeatFd::HeartbeatFd(ProcessId self, Transport& net, Config cfg,
       mean_gap_ms_(net.size(), 0.0),
       dev_gap_ms_(net.size(), 0.0),
       have_gap_(net.size(), false),
+      incarnation_of_(net.size(), 0),
       suspected_(std::make_unique<std::atomic<bool>[]>(net.size())),
       n_(net.size()),
       omega_(*this, net.size()) {
@@ -116,8 +117,21 @@ void HeartbeatFd::start() {
   net_.schedule(self_, 0.0, [this] { tick(); });
 }
 
-void HeartbeatFd::on_heartbeat(ProcessId from, ProcessId endorsed_leader) {
+void HeartbeatFd::on_heartbeat(ProcessId from, std::string_view payload) {
   if (from >= n_) return;
+  // The payload: the sender's Ω estimate, then its incarnation (see tick()).
+  common::Decoder dec(payload);
+  ProcessId endorsed_leader = dec.get_u32();
+  const std::uint64_t incarnation = dec.get_u64();
+  const bool well_formed = dec.done();
+  if (!well_formed) endorsed_leader = kNoProcess;
+  // A newer incarnation is a restart, not a late heartbeat: the gaps the old
+  // incarnation left say nothing about this one.
+  const bool restarted = well_formed && incarnation > incarnation_of_[from];
+  if (restarted) {
+    incarnation_of_[from] = incarnation;
+    have_gap_[from] = false;
+  }
   const Clock::time_point now = Clock::now();
   if (from != self_) {
     // Endorsement tracking: a heartbeat naming self refreshes the peer's
@@ -140,7 +154,7 @@ void HeartbeatFd::on_heartbeat(ProcessId from, ProcessId endorsed_leader) {
     endorses_me_[from] = endorsing_now;
   }
   const bool was_suspected = suspected_[from].load(std::memory_order_relaxed);
-  if (cfg_.adaptive && from != self_ && !was_suspected) {
+  if (cfg_.adaptive && from != self_ && !was_suspected && !restarted) {
     // Jacobson/Karels estimator over inter-arrival gaps. Gaps spanning a
     // suspicion are excluded: a pause/crash outage would blow the mean up and
     // stall completeness for everyone's benefit of one outlier — the
@@ -160,15 +174,21 @@ void HeartbeatFd::on_heartbeat(ProcessId from, ProcessId endorsed_leader) {
   }
   last_seen_[from] = now;
   if (was_suspected) {
-    // False suspicion: revoke and back off this peer's timeout so that, once
-    // delays stabilize, it is never falsely suspected again.
     suspected_[from].store(false, std::memory_order_release);
-    bonus_ms_[from] += cfg_.timeout_increment_ms;
-    false_suspicions_.fetch_add(1, std::memory_order_relaxed);
-    if (adaptations_ctr_ != nullptr) adaptations_ctr_->inc();
-    ZDC_LOG(kDebug, "heartbeat-fd")
-        << "p" << self_ << " unsuspects p" << from << ", timeout now "
-        << effective_timeout_ms(from) << "ms";
+    if (restarted) {
+      // The peer really crashed and came back: the suspicion was right.
+      ZDC_LOG(kDebug, "heartbeat-fd")
+          << "p" << self_ << " unsuspects restarted p" << from;
+    } else {
+      // False suspicion: revoke and back off this peer's timeout so that,
+      // once delays stabilize, it is never falsely suspected again.
+      bonus_ms_[from] += cfg_.timeout_increment_ms;
+      false_suspicions_.fetch_add(1, std::memory_order_relaxed);
+      if (adaptations_ctr_ != nullptr) adaptations_ctr_->inc();
+      ZDC_LOG(kDebug, "heartbeat-fd")
+          << "p" << self_ << " unsuspects p" << from << ", timeout now "
+          << effective_timeout_ms(from) << "ms";
+    }
     if (on_change_) on_change_();
   }
 }
@@ -183,6 +203,7 @@ void HeartbeatFd::restart_on_worker() {
     endorses_me_[p] = false;
   }
   epoch_ = now;  // self's held-since restarts with the incarnation
+  ++incarnation_;
   tick();
 }
 
@@ -192,9 +213,11 @@ bool HeartbeatFd::suspects(ProcessId p) const {
 
 void HeartbeatFd::tick() {
   // The payload carries this process's current Ω estimate — the endorsement
-  // that read-index leases are built from (see ms_since_quorum_endorsement).
+  // that read-index leases are built from (see ms_since_quorum_endorsement)
+  // — and its incarnation, so peers can tell a restart from a late beat.
   common::Encoder hb;
   hb.put_u32(omega_.leader());
+  hb.put_u64(incarnation_);
   net_.broadcast(Channel::kHeartbeat, self_, hb.take());
   last_seen_[self_] = Clock::now();  // never suspect yourself
 

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "fd/failure_detector.h"
@@ -71,17 +72,20 @@ class HeartbeatFd final : public fd::SuspectView {
   /// Schedules the periodic tick. Call once, before traffic starts.
   void start();
 
-  /// Wire-in from the node's kHeartbeat demux. `endorsed_leader` is the
-  /// sender's current Ω estimate, carried in the heartbeat payload — the
-  /// lease-endorsement input for read-index serving (kNoProcess when the
-  /// payload is absent or malformed: liveness still counts, endorsement
-  /// does not).
-  void on_heartbeat(ProcessId from, ProcessId endorsed_leader = kNoProcess);
+  /// Wire-in from the node's kHeartbeat demux, with the datagram's payload.
+  /// A heartbeat carries the sender's current Ω estimate (the
+  /// lease-endorsement input for read-index serving) and its incarnation.
+  /// One from a newer incarnation is a restart, not a late heartbeat: it
+  /// clears any suspicion of the sender and restarts its gap estimator,
+  /// with no timeout bonus and no false suspicion counted. A short or
+  /// malformed payload still counts for liveness, never for leases.
+  void on_heartbeat(ProcessId from, std::string_view payload);
 
   /// Call on the worker thread after a Transport::restart(p): the pending
   /// tick timer died with the old incarnation, so the periodic chain must be
-  /// re-armed. Resets every silence clock first — the outage must not count
-  /// against peers (they were heartbeating into a dead socket).
+  /// re-armed, and later heartbeats carry the next incarnation. Resets every
+  /// silence clock first — the outage must not count against peers (they
+  /// were heartbeating into a dead socket).
   void restart_on_worker();
 
   // SuspectView (the ◇P output). Readable from any thread (atomic flags);
@@ -143,6 +147,8 @@ class HeartbeatFd final : public fd::SuspectView {
   std::vector<double> mean_gap_ms_;  ///< EWMA of inter-arrival gaps
   std::vector<double> dev_gap_ms_;   ///< EWMA of gap deviation
   std::vector<bool> have_gap_;       ///< estimator warmed up for this peer
+  std::vector<std::uint64_t> incarnation_of_;  ///< latest heard per peer
+  std::uint64_t incarnation_ = 0;  ///< this process's; bumped by restarts
   std::unique_ptr<std::atomic<bool>[]> suspected_;
   std::uint32_t n_;
   fd::OmegaFromSuspects omega_;

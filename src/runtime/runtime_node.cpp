@@ -7,7 +7,6 @@
 #include "abcast/c_abcast.h"
 #include "abcast/paxos_abcast.h"
 #include "common/assert.h"
-#include "common/codec.h"
 #include "sim/trace.h"
 
 namespace zdc::runtime {
@@ -114,16 +113,11 @@ void RuntimeNode::handle(const Delivery& d) {
       }
       protocol_->on_message(d.from, d.bytes);
       break;
-    case Channel::kHeartbeat: {
+    case Channel::kHeartbeat:
       // Heartbeats are untraced: they would dwarf protocol traffic in any
-      // spacetime rendering without adding causal information. The payload
-      // is the sender's Ω estimate (lease endorsement); an empty or
-      // malformed payload still counts for liveness, never for leases.
-      common::Decoder dec(d.bytes);
-      const ProcessId endorsed = dec.get_u32();
-      fd_->on_heartbeat(d.from, dec.done() ? endorsed : kNoProcess);
+      // spacetime rendering without adding causal information.
+      fd_->on_heartbeat(d.from, d.bytes);
       break;
-    }
     case Channel::kWab:
       if (trace_ != nullptr) {
         trace_->record(sim::TraceKind::kWabDeliver, self_, d.from,

@@ -74,22 +74,45 @@ struct UdpNetwork::Endpoint {
 
   common::Mutex mu;  // guards everything below (senders push from other threads)
 
-  // Outbound reliable state: seq -> (destination, encoded datagram, due).
+  // Outbound reliable state, keyed by (destination, seq): the encoded
+  // datagram and when to resend it. Sequences are per destination, so each
+  // receiver sees a gap-free stream from this sender.
   struct Pending {
-    ProcessId to = 0;
     std::string datagram;
     Clock::time_point next_retransmit;
     double backoff_ms = 0.0;  ///< next retry interval (doubles up to the cap)
   };
-  std::map<std::uint64_t, Pending> unacked ZDC_GUARDED_BY(mu);
-  std::uint64_t next_seq ZDC_GUARDED_BY(mu) = 1;
+  std::map<std::pair<ProcessId, std::uint64_t>, Pending> unacked
+      ZDC_GUARDED_BY(mu);
+  std::vector<std::uint64_t> next_seq ZDC_GUARDED_BY(mu);  ///< per destination
 
-  // Inbound dedupe per sender: everything <= watermark seen, plus stragglers.
+  // Inbound dedupe per sender: everything <= watermark seen, plus the
+  // out-of-order arrivals above it.
   struct SeenFrom {
     std::uint64_t watermark = 0;
     std::set<std::uint64_t> above;
   };
-  std::map<ProcessId, SeenFrom> seen ZDC_GUARDED_BY(mu);
+  std::vector<SeenFrom> seen ZDC_GUARDED_BY(mu);  ///< per sender
+
+  /// Drops every pending datagram towards `to`: one key range.
+  void purge_towards(ProcessId to) ZDC_REQUIRES(mu) {
+    unacked.erase(unacked.lower_bound({to, 0}),
+                  unacked.lower_bound({to + 1, 0}));
+  }
+
+  /// Marks every sequence up to `seq` from `from` as seen: sequences that
+  /// will never be sent again (their sender's incarnation or its receiver's
+  /// died) must not hold the watermark back.
+  void seen_through(ProcessId from, std::uint64_t seq) ZDC_REQUIRES(mu) {
+    SeenFrom& s = seen[from];
+    if (seq <= s.watermark) return;
+    s.watermark = seq;
+    s.above.erase(s.above.begin(), s.above.upper_bound(seq));
+    while (!s.above.empty() && *s.above.begin() == s.watermark + 1) {
+      s.above.erase(s.above.begin());
+      ++s.watermark;
+    }
+  }
 
   // Timers.
   struct Timer {
@@ -145,6 +168,8 @@ UdpNetwork::UdpNetwork(Config cfg) : cfg_(cfg), links_(cfg.n) {
       // no escape analysis, so seed the guarded rng under its lock.
       common::MutexLock lock(ep->mu);
       ep->rng = common::Rng(seeder.next_u64());
+      ep->next_seq.assign(cfg.n, 1);
+      ep->seen.resize(cfg.n);
     }
     ep->fd = ::socket(AF_INET, SOCK_DGRAM, 0);
     ZDC_ASSERT_MSG(ep->fd >= 0, "socket() failed");
@@ -277,19 +302,16 @@ void UdpNetwork::send(Channel channel, ProcessId from, ProcessId to,
     // entry, retransmitting a pre-crash datagram from the new incarnation.
     Endpoint& ep = *endpoints_[from];
     common::MutexLock lock(ep.mu);
-    // Sequence space is shared across destinations at the sender (simpler
-    // and correct: the receiver dedupes per sender).
-    const std::uint64_t seq = ep.next_seq++;
+    const std::uint64_t seq = ep.next_seq[to]++;
     enc.put_u64(seq);
     enc.put_u64(wab_instance);
     enc.put_raw(bytes);
     datagram = enc.take();
     Endpoint::Pending pending;
-    pending.to = to;
     pending.datagram = datagram;
     pending.next_retransmit = after_ms(cfg_.retransmit_interval_ms);
     pending.backoff_ms = cfg_.retransmit_interval_ms;
-    ep.unacked.emplace(seq, std::move(pending));
+    ep.unacked.emplace(std::make_pair(to, seq), std::move(pending));
     ep.note_unacked_depth();
   } else {
     enc.put_u64(0);
@@ -344,9 +366,7 @@ void UdpNetwork::crash(ProcessId p) {
   for (std::uint32_t q = 0; q < cfg_.n; ++q) {
     Endpoint& ep = *endpoints_[q];
     common::MutexLock lock(ep.mu);
-    for (auto it = ep.unacked.begin(); it != ep.unacked.end();) {
-      it = it->second.to == p ? ep.unacked.erase(it) : std::next(it);
-    }
+    ep.purge_towards(p);
     ep.note_unacked_depth();
   }
 }
@@ -359,20 +379,49 @@ void UdpNetwork::restart(ProcessId p) {
   ZDC_ASSERT(p < cfg_.n);
   Endpoint& ep = *endpoints_[p];
   if (!ep.crashed.load()) return;
+  std::vector<std::uint64_t> sent_by_p;
   {
     common::MutexLock lock(ep.mu);
     // The dead incarnation's volatile transport state is gone: its pending
-    // retransmissions and timers died with it. next_seq and the per-sender
-    // dedupe maps are kept monotonic across incarnations, so peers' ack
-    // watermarks stay valid and pre-crash stragglers are still rejected.
+    // retransmissions and timers died with it. next_seq and the dedupe
+    // watermarks stay monotonic across incarnations, so pre-crash
+    // stragglers are still rejected.
     ep.unacked.clear();
     ep.note_unacked_depth();
     while (!ep.timers.empty()) ep.timers.pop();
+    sent_by_p = ep.next_seq;
+  }
+  // Neither the sequences p's old incarnation left unacked nor those its
+  // peers purged towards p at the crash are ever resent, so both sides'
+  // watermarks skip them. Peers start no send to p while it is crashed; one
+  // that raced the crash may take a sequence after these reads, and then
+  // reaches the new incarnation like any late datagram.
+  std::vector<std::uint64_t> sent_to_p(cfg_.n);
+  for (std::uint32_t q = 0; q < cfg_.n; ++q) {
+    Endpoint& peer = *endpoints_[q];
+    common::MutexLock lock(peer.mu);
+    peer.seen_through(p, sent_by_p[q] - 1);
+    sent_to_p[q] = peer.next_seq[p];
+  }
+  {
+    common::MutexLock lock(ep.mu);
+    for (std::uint32_t q = 0; q < cfg_.n; ++q) {
+      ep.seen_through(q, sent_to_p[q] - 1);
+    }
   }
   // The recv thread has been draining and discarding the socket while
   // crashed, so no pre-crash datagrams are waiting. Flip last: from here on
   // the endpoint receives again.
   ep.crashed.store(false);
+}
+
+std::size_t UdpNetwork::out_of_order(ProcessId p) const {
+  ZDC_ASSERT(p < cfg_.n);
+  Endpoint& ep = *endpoints_[p];
+  common::MutexLock lock(ep.mu);
+  std::size_t total = 0;
+  for (const auto& from : ep.seen) total += from.above.size();
+  return total;
 }
 
 void UdpNetwork::handle_datagram(ProcessId p, const char* data,
@@ -387,7 +436,7 @@ void UdpNetwork::handle_datagram(ProcessId p, const char* data,
     const std::uint64_t seq = dec.get_u64();
     if (!dec.done() || acker >= cfg_.n) return;
     common::MutexLock lock(ep.mu);
-    ep.unacked.erase(seq);
+    ep.unacked.erase({acker, seq});
     ep.note_unacked_depth();
     return;
   }
@@ -436,11 +485,10 @@ void UdpNetwork::handle_datagram(ProcessId p, const char* data,
     {
       common::MutexLock lock(ep.mu);
       auto& seen = ep.seen[from];
-      if (seq <= seen.watermark || seen.above.count(seq) != 0) return;
-      seen.above.insert(seq);
-      while (seen.above.count(seen.watermark + 1) != 0) {
-        seen.above.erase(seen.watermark + 1);
-        ++seen.watermark;
+      if (seq == seen.watermark + 1) {
+        ep.seen_through(from, seq);  // in order: nothing to insert
+      } else if (seq <= seen.watermark || !seen.above.insert(seq).second) {
+        return;
       }
     }
   }
@@ -479,17 +527,18 @@ Clock::time_point UdpNetwork::run_due_work(ProcessId p) {
   {
     common::MutexLock lock(ep.mu);
     for (auto it = ep.unacked.begin(); it != ep.unacked.end();) {
+      const ProcessId to = it->first.first;
       auto& pending = it->second;
       // Entries towards a crashed destination are purged here, not just
       // skipped: crash(to)'s purge races in-flight send()s, so an entry
       // registered just after it would otherwise sit in the table (and back
       // off against a corpse) until the destination restarts and acks.
-      if (crashed(pending.to)) {
+      if (crashed(to)) {
         it = ep.unacked.erase(it);
         continue;
       }
       if (pending.next_retransmit <= now) {
-        resend.emplace_back(pending.to, pending.datagram);
+        resend.emplace_back(to, pending.datagram);
         pending.backoff_ms =
             std::min(pending.backoff_ms * 2.0, cfg_.retransmit_cap_ms);
         pending.next_retransmit = after_ms(pending.backoff_ms);

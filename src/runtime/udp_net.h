@@ -16,7 +16,10 @@
 //   * reliable sends carry a per-(sender, receiver) sequence number, are
 //     acked by the receiver and retransmitted until acked; receivers dedupe
 //     with a watermark + out-of-order set, delivering in arrival order
-//     (reliable ≠ FIFO — matching the system model's channels);
+//     (reliable ≠ FIFO — matching the system model's channels). The set
+//     only holds arrivals above a gap that a retransmission will fill; the
+//     sequences a crash purges are never resent, so restart(p) raises the
+//     watermarks past them on both sides;
 //   * an optional artificial drop probability exercises the ARQ in tests;
 //   * crash(p) closes the loop: p stops sending/receiving and peers purge
 //     their retransmission state towards p.
@@ -102,6 +105,10 @@ class UdpNetwork final : public Transport {
   [[nodiscard]] std::uint64_t retransmissions() const {
     return retransmissions_.load(std::memory_order_relaxed);
   }
+  /// Reliable datagrams endpoint p holds above its per-sender dedupe
+  /// watermarks: the out-of-order arrivals still waiting for a gap to fill
+  /// (diagnostics; bounded by the datagrams in flight).
+  [[nodiscard]] std::size_t out_of_order(ProcessId p) const;
 
  private:
   struct Endpoint;

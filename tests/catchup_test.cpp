@@ -16,6 +16,7 @@
 //      stop suspecting it (its heartbeats resume).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -695,7 +696,29 @@ TEST(ReplicaGroupE2E, RestartedReplicaIsNoLongerSuspected) {
       [&] { return peers_suspecting_victim() == 0; }, 5000.0))
       << peers_suspecting_victim()
       << " live peers still suspect the restarted replica";
+  // Let the peers' gap estimators learn the new incarnation's heartbeats.
+  static_cast<void>(
+      runtime::RuntimeCluster::wait_until([] { return false; }, 300.0));
   group.shutdown();
+
+  // The suspicion was right: the replica really crashed. Its restart is no
+  // false suspicion, and the timeout bonus that backs off a falsely
+  // suspected peer must not grow (the estimators are read after shutdown,
+  // off the workers).
+  const double increment = runtime::HeartbeatFd::Config{}.timeout_increment_ms;
+  for (ProcessId p = 0; p < 4; ++p) {
+    if (p == kVictim) continue;
+    const auto& fd = group.cluster().node(p).failure_detector();
+    EXPECT_EQ(fd.false_suspicions(), 0u) << "peer " << p;
+    double live_timeout = 0;
+    for (ProcessId q = 0; q < 4; ++q) {
+      if (q != kVictim && q != p) {
+        live_timeout = std::max(live_timeout, fd.effective_timeout_ms(q));
+      }
+    }
+    EXPECT_LT(fd.effective_timeout_ms(kVictim), live_timeout + increment / 2)
+        << "peer " << p << " backed off the restarted replica's timeout";
+  }
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ TEST(HeartbeatAdaptive, FalseSuspicionsGrowTimeoutsAndStop) {
   for (ProcessId p = 0; p < 2; ++p) {
     runtime::HeartbeatFd* fd = fds[p].get();
     net.set_handler(p, [fd](const runtime::Delivery& d) {
-      if (d.channel == runtime::Channel::kHeartbeat) fd->on_heartbeat(d.from);
+      if (d.channel == runtime::Channel::kHeartbeat) fd->on_heartbeat(d.from, d.bytes);
     });
   }
   net.start();

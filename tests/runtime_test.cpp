@@ -200,7 +200,7 @@ TEST(HeartbeatFdTest, DetectsCrashAndStaysAccurate) {
   for (ProcessId p = 0; p < 3; ++p) {
     HeartbeatFd* fd = fds[p].get();
     net.set_handler(p, [fd](const Delivery& d) {
-      if (d.channel == Channel::kHeartbeat) fd->on_heartbeat(d.from);
+      if (d.channel == Channel::kHeartbeat) fd->on_heartbeat(d.from, d.bytes);
     });
   }
   net.start();

@@ -1,8 +1,8 @@
-// Regression net under the Table-1 bench: the measured message complexity
-// and step-derived latency of every atomic-broadcast stack must stay inside
-// the analytically justified bands (see bench_table1.cpp for the bands'
-// derivation; measured counts include the DECIDE flood the paper's
-// analytical figures omit).
+// Regression net under bench_paper's Table-1 rows: the measured message
+// complexity and step-derived latency of every atomic-broadcast stack must
+// stay inside the analytically justified bands (EXPERIMENTS.md, Table 1;
+// measured counts include the DECIDE flood the paper's analytical figures
+// omit).
 #include <gtest/gtest.h>
 
 #include <string>

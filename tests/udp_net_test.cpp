@@ -155,6 +155,128 @@ TEST(UdpNet, CrashStopsTraffic) {
   net.shutdown();
 }
 
+// The dedupe state stays bounded under a long mixed stream. Sequences are
+// per (sender, receiver), so every receiver sees a gap-free stream per
+// sender and its watermark keeps up; the sequences a crash purges are never
+// resent, so restart() must move the watermarks past them. One receiver and
+// one sender crash and restart mid-stream, with datagrams in flight; a 5 %
+// inbound drop keeps some of them waiting for a retransmission when the
+// crash purges them.
+TEST(UdpNet, DedupeStateStaysBoundedAcrossCrashRestart) {
+  constexpr std::uint32_t kN = 4;
+  constexpr std::uint32_t kMessages = 100'000;
+  constexpr std::uint32_t kBatch = 256;
+  UdpNetwork net(udp_config(kN, 0.05));
+
+  // gen counts crash and restart events; each message carries the gen it was
+  // sent in, and pacing only waits for messages of the current gen.
+  std::atomic<std::uint32_t> gen{0};
+  std::atomic<std::uint64_t> delivered_this_gen{0};
+  std::mutex mu;
+  std::vector<std::uint8_t> deliveries(kMessages, 0);
+  for (ProcessId p = 0; p < kN; ++p) {
+    net.set_handler(p, [&](const Delivery& d) {
+      if (d.channel != Channel::kProtocol) return;
+      common::Decoder dec(d.bytes);
+      const std::uint32_t id = dec.get_u32();
+      const std::uint32_t sent_gen = dec.get_u32();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ++deliveries[id];
+      }
+      if (sent_gen == gen.load()) ++delivered_this_gen;
+    });
+  }
+  net.start();
+
+  struct Sent {
+    ProcessId from;
+    ProcessId to;
+    std::uint32_t gen;
+  };
+  std::vector<Sent> sent;  // indexed by message id; skipped pairs omitted
+  std::vector<std::pair<std::uint32_t, ProcessId>> crashes;  // (gen, p)
+  std::uint64_t sent_this_gen = 0;
+  const auto event = [&](ProcessId p, bool crash) {
+    if (crash) {
+      net.crash(p);
+    } else {
+      net.restart(p);
+    }
+    gen.fetch_add(1);
+    if (crash) crashes.emplace_back(gen.load(), p);
+    delivered_this_gen = 0;
+    sent_this_gen = 0;
+  };
+
+  struct Event {
+    std::uint32_t at;  ///< messages sent before it fires
+    ProcessId p;
+    bool crash;
+  };
+  const Event events[] = {{30'000, 1, true},
+                          {40'000, 1, false},
+                          {60'000, 2, true},
+                          {70'000, 2, false}};
+  std::size_t next_event = 0;
+  std::uint32_t id = 0;
+  for (std::uint64_t round = 0; id < kMessages; ++round) {
+    const ProcessId from = round % kN;
+    const ProcessId to = (round / kN) % kN;
+    if (!net.crashed(from) && !net.crashed(to)) {
+      common::Encoder enc;
+      enc.put_u32(id);
+      enc.put_u32(gen.load());
+      sent.push_back(Sent{from, to, gen.load()});
+      net.send(Channel::kProtocol, from, to, enc.take());
+      ++sent_this_gen;
+      ++id;
+    }
+    if (round % kBatch != kBatch - 1) continue;
+    // Mid-stream events, fired right after a batch, with it still in flight.
+    if (next_event < std::size(events) && id >= events[next_event].at) {
+      event(events[next_event].p, events[next_event].crash);
+      ++next_event;
+    }
+    // Pace to about one batch in flight: a flood would only measure the
+    // kernel's socket buffers.
+    RuntimeCluster::wait_until(
+        [&] { return delivered_this_gen + kBatch >= sent_this_gen; }, 2'000.0);
+  }
+  ASSERT_EQ(next_event, std::size(events));
+
+  // Every message between live incarnations arrives exactly once; one sent
+  // to or from an incarnation that later crashed arrives at most once.
+  const auto may_be_lost = [&](const Sent& s) {
+    for (const auto& [crash_gen, p] : crashes) {
+      if (crash_gen > s.gen && (p == s.from || p == s.to)) return true;
+    }
+    return false;
+  };
+  ASSERT_TRUE(RuntimeCluster::wait_until(
+      [&] {
+        std::lock_guard<std::mutex> lock(mu);
+        for (std::uint32_t i = 0; i < sent.size(); ++i) {
+          if (deliveries[i] == 0 && !may_be_lost(sent[i])) return false;
+        }
+        return true;
+      },
+      30'000.0))
+      << "a message between live incarnations never arrived";
+  RuntimeCluster::wait_until([] { return false; }, 50.0);  // stragglers
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    for (std::uint32_t i = 0; i < sent.size(); ++i) {
+      EXPECT_LE(deliveries[i], 1) << "message " << i << " delivered twice";
+    }
+  }
+  for (ProcessId p = 0; p < kN; ++p) {
+    EXPECT_LE(net.out_of_order(p), 64u)
+        << "endpoint " << p << "'s dedupe set grows with the stream";
+  }
+  net.shutdown();
+}
+
 /// A plain loopback socket outside the transport, for crafted datagrams.
 class RawSender {
  public:
